@@ -167,6 +167,100 @@ TEST(Golden, AttributionAndSloBlocksAreThreadCountInvariant) {
   EXPECT_EQ(off.find("\"slo\""), std::string::npos);
 }
 
+// The network modes beside the flat-link default: the shared AP, result
+// downlinks with a FIFO cloud, and the routed fabric (with drops, AP
+// outages and result routing), each with faults off and on. Metrics and
+// attribution ride every cell, so the observer's phase timestamps and the
+// fabric's per-port hop totals are pinned along with the task results.
+ExperimentPlan network_plan() {
+  sim::ScenarioConfig base = golden_base();
+  base.devices = {base.devices[0], base.devices[1], base.devices[0],
+                  base.devices[1]};
+  base.obs.metrics = true;
+  base.obs.attribution = true;
+  base.duration = 40.0;
+  auto fabric = [](sim::ScenarioConfig& cfg) {
+    cfg.topology.aps = 2;
+    cfg.topology.ap_bandwidth = util::mbps(8.0);
+    cfg.topology.ap_latency = util::ms(4.0);
+    cfg.topology.queue_limit_bytes = 1.5e6;
+  };
+  auto results = [](sim::ScenarioConfig& cfg) {
+    cfg.result_bytes = 2e3;
+    cfg.cloud_fifo = true;
+  };
+  ExperimentPlan plan(base);
+  plan.add_axis(
+      "network",
+      {{"shared_ap",
+        [](sim::ScenarioConfig& cfg) { cfg.shared_uplink_bw = util::mbps(12); }},
+       {"flat_results", results},
+       {"topology", fabric},
+       {"topology_results", [=](sim::ScenarioConfig& cfg) {
+          fabric(cfg);
+          results(cfg);
+        }}});
+  plan.add_axis(
+      "injection",
+      {{"off", [](sim::ScenarioConfig&) {}},
+       {"on", [](sim::ScenarioConfig& cfg) {
+          cfg.faults.edge.windows = {{8.0, 14.0}};
+          cfg.faults.link.windows = {{5.0, 9.0, /*device=*/0}};
+          if (cfg.topology.enabled())
+            cfg.faults.ap_windows = {{16.0, 18.0, /*device=*/1}};
+          cfg.faults.churn.events = {{1, 12.0, 18.0}};
+          cfg.faults.degradation.detection_timeout = 0.5;
+          cfg.faults.degradation.task_timeout = 3.0;
+          cfg.faults.degradation.probe_period = 0.5;
+          cfg.faults.degradation.max_retries = 2;
+        }}});
+  plan.base_seed(20240131);
+  return plan;
+}
+
+std::string render_network(int threads) {
+  ExecutorOptions opts;
+  opts.threads = threads;
+  const auto records = Executor(opts).run(network_plan());
+  JsonlOptions jopts;
+  jopts.include_timing = false;
+  std::ostringstream out;
+  write_jsonl(out, {"network", "injection"}, records, jopts);
+  return out.str();
+}
+
+TEST(Golden, NetworkModesSnapshotIsByteStableAtAnyThreadCount) {
+  const std::string path =
+      std::string(LEIME_GOLDEN_DIR) + "/runtime_network.jsonl";
+  const auto serial = render_network(1);
+  EXPECT_EQ(serial, render_network(3))
+      << "executor thread count changed the collected bytes";
+  // 4 network modes x faults off/on; the fabric cells carry net stats and
+  // every cell carries the attribution block.
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 8);
+  EXPECT_NE(serial.find("\"network\":\"topology_results\""),
+            std::string::npos);
+  EXPECT_NE(serial.find("\"net\":{"), std::string::npos);
+  EXPECT_NE(serial.find("\"attribution\":{\"tasks\":"), std::string::npos);
+
+  if (std::getenv("LEIME_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << serial;
+    ASSERT_TRUE(out.good()) << "could not write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden snapshot " << path
+      << " (run once with LEIME_REGEN_GOLDEN=1 to create it)";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(serial, golden.str())
+      << "network-mode output drifted from the committed snapshot; if the "
+         "change is intentional, rerun with LEIME_REGEN_GOLDEN=1 and commit "
+         "the new file";
+}
+
 TEST(Golden, SnapshotCoversFaultsOnAndOff) {
   const auto text = render(1);
   // 2 axis values x 2 replications.
