@@ -14,7 +14,9 @@
 #      bench/baselines/ with scripts/bench_compare.py (counters strict
 #      everywhere — including the warm-vs-cold B&B evaluation ratio, the
 #      attribution waterfall/hop/conservation counters and the fast-path
-#      regret counters — wall medians same-host only). Skipped when
+#      regret counters — wall medians same-host only), then run the
+#      end-to-end smoke (bench/e2e/run.sh --smoke), which checks every
+#      workload's output digests against bench/e2e/expected/. Skipped when
 #      python3 is unavailable.
 #   5. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
 #              sim tests with -DLEIME_SANITIZE=thread and re-run them,
@@ -27,7 +29,7 @@
 #
 # Env knobs: JOBS (parallel build jobs, default nproc),
 #            LEIME_SKIP_TSAN=1 to run only the earlier passes,
-#            LEIME_SKIP_BENCH=1 to skip the micro_sim bench gate.
+#            LEIME_SKIP_BENCH=1 to skip the bench gates and the e2e smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +67,8 @@ elif command -v python3 >/dev/null 2>&1; then
   (cd build && ./bench/tab_regret --out BENCH_tab_regret.json >/dev/null)
   python3 scripts/bench_compare.py build/BENCH_tab_regret.json \
     bench/baselines/
+  echo "== e2e smoke: every workload against its stored seed-1/2 digests =="
+  bash bench/e2e/run.sh --smoke >/dev/null
 else
   echo "== bench gate skipped: python3 unavailable =="
 fi

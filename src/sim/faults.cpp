@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -49,6 +50,16 @@ double parse_num(const std::string& text, const std::string& key) {
   }
 }
 
+// A device or AP index: checked before the cast, which is undefined
+// behaviour for values outside int's range.
+int parse_index(const std::string& text, const std::string& key) {
+  const double v = parse_num(text, key);
+  if (!(v >= INT_MIN && v <= INT_MAX) || v != std::trunc(v))
+    throw std::invalid_argument("[faults] " + key + ": '" + text +
+                                "' is not an index");
+  return static_cast<int>(v);
+}
+
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;
   std::string cur;
@@ -74,7 +85,7 @@ FaultWindow parse_window(const std::string& item, const std::string& key,
     const auto colon = body.find(':');
     if (colon != std::string::npos) {
       const auto idx = body.substr(1, colon - 1);
-      w.device = static_cast<int>(parse_num(idx, key));
+      w.device = parse_index(idx, key);
       body = body.substr(colon + 1);
     }
   }
@@ -105,7 +116,7 @@ ChurnEvent parse_churn_event(const std::string& item) {
         "[faults] churn: entry '" + item +
         "' must look like device:leave-rejoin (e.g. 2:30-60 or 2:30-)");
   ChurnEvent e;
-  e.device = static_cast<int>(parse_num(item.substr(0, colon), "churn"));
+  e.device = parse_index(item.substr(0, colon), "churn");
   const auto body = item.substr(colon + 1);
   const auto dash = body.find('-');
   if (dash == std::string::npos)
@@ -275,23 +286,12 @@ FaultTimeline materialize_faults(const FaultPlan& plan,
 }
 
 FaultPlan parse_faults_section(const util::IniSection& section) {
-  static const char* kKnown[] = {
-      "link_outage_windows", "link_outage_rate",    "link_outage_mean_s",
-      "edge_down_windows",   "edge_crash_rate",     "edge_downtime_mean_s",
-      "ap_outage_windows",   "churn",               "detection_timeout_s",
-      "task_timeout_s",      "max_retries",         "retry_backoff_s",
-      "probe_period_s"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[faults] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"link_outage_windows", "link_outage_rate",
+                      "link_outage_mean_s", "edge_down_windows",
+                      "edge_crash_rate", "edge_downtime_mean_s",
+                      "ap_outage_windows", "churn", "detection_timeout_s",
+                      "task_timeout_s", "max_retries", "retry_backoff_s",
+                      "probe_period_s"});
 
   FaultPlan plan;
   if (section.has("link_outage_windows"))
@@ -316,8 +316,7 @@ FaultPlan parse_faults_section(const util::IniSection& section) {
   deg.detection_timeout =
       section.get_double("detection_timeout_s", deg.detection_timeout);
   deg.task_timeout = section.get_double("task_timeout_s", deg.task_timeout);
-  deg.max_retries =
-      static_cast<int>(section.get_int("max_retries", deg.max_retries));
+  deg.max_retries = section.get_int32("max_retries", deg.max_retries);
   deg.retry_backoff =
       section.get_double("retry_backoff_s", deg.retry_backoff);
   deg.probe_period = section.get_double("probe_period_s", deg.probe_period);

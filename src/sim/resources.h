@@ -25,8 +25,8 @@ enum class JobClass : std::uint8_t { kBlock1 = 0, kBlock2 = 1, kBlock3 = 2 };
 
 /// Completion callbacks ride inside EventQueue handlers, so they use the
 /// same never-allocating inline storage. 48 bytes fits the largest
-/// completion capture in simulation.cpp ([this, i, id, att] plus padding)
-/// with headroom; the InlineFn bind static-asserts any overflow.
+/// completion capture in simulation.cpp ([this, i, id, att, step] plus
+/// padding) with headroom; the InlineFn bind static-asserts any overflow.
 inline constexpr std::size_t kCompletionCapacity = 48;
 using Completion = util::InlineFn<void(double), kCompletionCapacity>;
 

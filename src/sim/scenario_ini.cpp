@@ -12,22 +12,9 @@
 namespace leime::sim {
 
 ObsConfig parse_observability_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"metrics",        "trace_sample",
-                                 "timeseries",     "metrics_out",
-                                 "metrics_jsonl",  "trace_out",
-                                 "timeseries_out", "attribution",
-                                 "attribution_out", "calibration_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[observability] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"metrics", "trace_sample", "timeseries", "metrics_out",
+                      "metrics_jsonl", "trace_out", "timeseries_out",
+                      "attribution", "attribution_out", "calibration_out"});
 
   ObsConfig obs;
   obs.metrics = section.get_bool("metrics", false);
@@ -47,20 +34,8 @@ ObsConfig parse_observability_section(const util::IniSection& section) {
 }
 
 obs::SloConfig parse_slo_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"deadline_ms",     "window_s",
-                                 "target_miss_rate", "burn_threshold",
-                                 "min_window_tasks", "alerts_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[slo] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"deadline_ms", "window_s", "target_miss_rate",
+                      "burn_threshold", "min_window_tasks", "alerts_out"});
 
   obs::SloConfig slo;
   slo.deadline = util::ms(section.get_double("deadline_ms", 0.0));
@@ -87,20 +62,8 @@ obs::SloConfig parse_slo_section(const util::IniSection& section) {
 
 obs::ProvenanceConfig parse_provenance_section(
     const util::IniSection& section) {
-  static const char* kKnown[] = {"sample_n", "ring_capacity",
-                                 "oracle_sample_n", "decisions_out",
-                                 "dump_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[provenance] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"sample_n", "ring_capacity", "oracle_sample_n",
+                      "decisions_out", "dump_out"});
 
   obs::ProvenanceConfig prov;
   const long long sample = section.get_int("sample_n", 0);
@@ -129,22 +92,11 @@ obs::ProvenanceConfig parse_provenance_section(
 }
 
 net::TopologyConfig parse_topology_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"aps", "ap_mbps", "ap_latency_ms",
-                                 "device_map", "queue_limit_kb"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[topology] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"aps", "ap_mbps", "ap_latency_ms", "device_map",
+                      "queue_limit_kb"});
 
   net::TopologyConfig topo;
-  topo.aps = static_cast<int>(section.get_int("aps", 0));
+  topo.aps = section.get_int32("aps", 0);
   // aps = 0 (or unset) disables the fabric; the remaining keys are ignored
   // so a disabled section stays byte-identical to no section at all.
   if (topo.aps <= 0) return topo;
@@ -178,26 +130,14 @@ net::TopologyConfig parse_topology_section(const util::IniSection& section) {
 }
 
 ShardOptions parse_shards_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"shards", "threads", "window_ms"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[shards] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"shards", "threads"});
 
   ShardOptions shards;
   const long long count = section.get_int("shards", 1);
   if (count < 1)
     throw std::invalid_argument("[shards] shards must be >= 1");
   shards.shards = static_cast<std::size_t>(count);
-  shards.threads = static_cast<int>(section.get_int("threads", 0));
-  shards.window_s = util::ms(section.get_double("window_ms", 0.0));
+  shards.threads = section.get_int32("threads", 0);
   try {
     shards.validate();
   } catch (const std::exception& e) {
@@ -207,19 +147,8 @@ ShardOptions parse_shards_section(const util::IniSection& section) {
 }
 
 policy::Config parse_policy_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"memo_cache", "warm_start", "batch_eq20",
-                                 "cache_capacity", "quant_per_octave"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[policy] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.check_keys({"memo_cache", "warm_start", "batch_eq20",
+                      "cache_capacity", "quant_per_octave"});
 
   policy::Config pol;
   pol.memo_cache = section.get_bool("memo_cache", false);
@@ -232,8 +161,7 @@ policy::Config parse_policy_section(const util::IniSection& section) {
     throw std::invalid_argument("[policy] cache_capacity must be >= 1");
   pol.cache_capacity = static_cast<std::size_t>(capacity);
   pol.quant_per_octave =
-      static_cast<int>(section.get_int("quant_per_octave",
-                                       pol.quant_per_octave));
+      section.get_int32("quant_per_octave", pol.quant_per_octave);
   try {
     pol.validate();
   } catch (const std::exception& e) {
@@ -300,7 +228,7 @@ IniScenario load_scenario(const util::IniFile& ini) {
 
   IniScenario out{resolve_model_name(sc.get("model", "inception")),
                   ScenarioConfig{}, {}, 0.0,
-                  static_cast<int>(sc.get_int("replications", 1))};
+                  sc.get_int32("replications", 1)};
   if (out.replications < 1)
     throw std::invalid_argument("scenario: replications must be >= 1");
 
@@ -331,7 +259,7 @@ IniScenario load_scenario(const util::IniFile& ini) {
     cfg.shards = parse_shards_section(*sh);
 
   if (const auto* rt = ini.find("runtime")) {
-    out.threads = static_cast<int>(rt->get_int("threads", 1));
+    out.threads = rt->get_int32("threads", 1);
     if (out.threads < 0)
       throw std::invalid_argument("runtime: threads must be >= 0");
     const auto seed_mode = rt->get("seed_mode", "split");

@@ -37,8 +37,8 @@
 //               cache_capacity / quant_per_octave — the policy core's
 //               opt-in fast paths (policy/engine.h). Omitting the section
 //               keeps the reference algorithms and byte-identical output.
-//   [shards]    (optional) shards / threads / window_ms — conservative-
-//               time-window sharded execution of one simulation
+//   [shards]    (optional) shards / threads — conservative-time-window
+//               sharded execution of one simulation
 //               (sim/shard.h, DESIGN.md §15). Omitting the section (or
 //               shards = 1) keeps the single-queue path; results are
 //               byte-identical either way.

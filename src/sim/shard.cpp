@@ -1,7 +1,6 @@
 #include "sim/shard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace leime::sim {
@@ -11,9 +10,6 @@ void ShardOptions::validate() const {
     throw std::invalid_argument("ShardOptions: shards must be >= 1");
   if (threads < 0)
     throw std::invalid_argument("ShardOptions: threads must be >= 0");
-  if (!std::isfinite(window_s) || window_s < 0.0)
-    throw std::invalid_argument(
-        "ShardOptions: window_s must be finite and >= 0");
 }
 
 std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
@@ -24,11 +20,6 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
   const std::size_t lo = s * base + std::min(s, rem);
   const std::size_t hi = lo + base + (s < rem ? 1 : 0);
   return {lo, hi};
-}
-
-double shard_window(const ShardOptions& opts, double edge_cloud_lat) {
-  if (opts.window_s > 0.0) return std::min(opts.window_s, edge_cloud_lat);
-  return edge_cloud_lat;
 }
 
 int resolve_shard_threads(const ShardOptions& opts, std::size_t shards) {

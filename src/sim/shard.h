@@ -16,7 +16,7 @@
 //   HubLink      — the coordinator's replay of Link's FIFO serialization
 //                  arithmetic, bit-identical to the single-queue link;
 //   ShardPool    — a persistent barrier-synchronised worker pool;
-//   shard_range / shard_window — the partitioning and lookahead helpers.
+//   shard_range  — the balanced contiguous partitioning of the fleet.
 //
 // The sharded simulation loop itself lives in simulation.cpp.
 #pragma once
@@ -45,16 +45,10 @@ struct ShardOptions {
   /// min(shards, hardware_concurrency). Thread count never affects
   /// results, only wall time.
   int threads = 0;
-  /// Barrier window width in seconds; 0 derives the widest safe window
-  /// (the edge-cloud propagation delay). Values above the safe bound are
-  /// clamped to it — wider windows would deliver hub events into a
-  /// shard's past.
-  double window_s = 0.0;
 
   bool enabled() const { return shards > 1; }
 
-  /// Throws std::invalid_argument on shards == 0, threads < 0, or a
-  /// negative / non-finite window.
+  /// Throws std::invalid_argument on shards == 0 or threads < 0.
   void validate() const;
 };
 
@@ -108,12 +102,6 @@ class HubLink {
 std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
                                                 std::size_t shards,
                                                 std::size_t s);
-
-/// The conservative lookahead horizon: the requested window clamped to
-/// the edge-cloud propagation delay (the widest width for which every
-/// hub delivery provably lands beyond the next barrier). Requires
-/// edge_cloud_lat > 0 (validated by the sharded simulation).
-double shard_window(const ShardOptions& opts, double edge_cloud_lat);
 
 /// Worker threads for a sharded run: opts.threads, or
 /// hardware_concurrency() when 0 (auto), clamped to the shard count —

@@ -1,5 +1,8 @@
 #include "util/ini.h"
 
+#include <algorithm>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -49,16 +52,28 @@ double IniSection::get_double(const std::string& key, double fallback) const {
 
 long long IniSection::get_int(const std::string& key) const {
   const double v = get_double(key);
-  const auto i = static_cast<long long>(v);
-  if (static_cast<double>(i) != v)
+  // Checked before the cast: converting NaN, infinities or values outside
+  // [-2^63, 2^63) to long long is undefined behaviour.
+  if (!std::isfinite(v) || v != std::trunc(v))
     throw std::invalid_argument("ini: [" + name + "] key '" + key +
                                 "' is not an integer");
-  return i;
+  if (v < -0x1p63 || v >= 0x1p63)
+    throw std::invalid_argument("ini: [" + name + "] key '" + key +
+                                "' is out of range");
+  return static_cast<long long>(v);
 }
 
 long long IniSection::get_int(const std::string& key,
                               long long fallback) const {
   return has(key) ? get_int(key) : fallback;
+}
+
+int IniSection::get_int32(const std::string& key, int fallback) const {
+  const long long v = get_int(key, fallback);
+  if (v < INT_MIN || v > INT_MAX)
+    throw std::invalid_argument("ini: [" + name + "] key '" + key +
+                                "' is out of range");
+  return static_cast<int>(v);
 }
 
 bool IniSection::get_bool(const std::string& key, bool fallback) const {
@@ -68,6 +83,19 @@ bool IniSection::get_bool(const std::string& key, bool fallback) const {
   if (v == "false" || v == "no" || v == "0" || v == "off") return false;
   throw std::invalid_argument("ini: [" + name + "] key '" + key +
                               "' is not a boolean: '" + v + "'");
+}
+
+void IniSection::check_keys(std::initializer_list<const char*> known) const {
+  for (const auto& [key, value] : values) {
+    (void)value;
+    if (std::find_if(known.begin(), known.end(),
+                     [&](const char* k) { return key == k; }) != known.end())
+      continue;
+    std::string valid;
+    for (const char* k : known) valid += std::string(" ") + k;
+    throw std::invalid_argument("[" + name + "] unknown key '" + key +
+                                "' (valid keys:" + valid + ")");
+  }
 }
 
 IniFile IniFile::parse(std::istream& in) {

@@ -8,6 +8,7 @@
 // are trimmed at both ends.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -26,12 +27,18 @@ struct IniSection {
   std::string get(const std::string& key, const std::string& fallback = "") const;
 
   /// Typed getters; throw std::invalid_argument on absent keys or
-  /// unparsable values.
+  /// unparsable values. get_int also rejects non-finite, fractional and
+  /// out-of-range values; get_int32 narrows to int with a range check.
   double get_double(const std::string& key) const;
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key) const;
   long long get_int(const std::string& key, long long fallback) const;
+  int get_int32(const std::string& key, int fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Throws std::invalid_argument on the first key (in key order) not in
+  /// `known`: "[<name>] unknown key '<key>' (valid keys: <known...>)".
+  void check_keys(std::initializer_list<const char*> known) const;
 };
 
 class IniFile {

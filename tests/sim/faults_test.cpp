@@ -260,6 +260,11 @@ TEST(FaultsIni, RejectsUnknownAndMalformedKeys) {
   EXPECT_THROW(parse("edge_down_windows = 10\n"), std::invalid_argument);
   EXPECT_THROW(parse("edge_down_windows = ten-20\n"), std::invalid_argument);
   EXPECT_THROW(parse("churn = 30-60\n"), std::invalid_argument);
+  // Indices are range-checked before the cast to int.
+  EXPECT_THROW(parse("link_outage_windows = d1e30:5-9\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse("churn = inf:30-60\n"), std::invalid_argument);
+  EXPECT_THROW(parse("churn = 4294967297:30-60\n"), std::invalid_argument);
   EXPECT_THROW(parse("churn = 2:\n"), std::invalid_argument);
 }
 

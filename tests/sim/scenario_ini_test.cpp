@@ -122,6 +122,38 @@ constexpr const char* kFleet =
     "[scenario]\nmodel = squeezenet\npolicy = E-only\nduration = 20\n"
     "seed = 5\n[edge]\ngflops = 50\n[device]\nrate = 1\n[device]\nrate = 1\n";
 
+TEST(ScenarioIni, OutOfRangeIntegersAreRejectedByName) {
+  // Every int-typed key is range-checked before narrowing: 2^32 + 2 used
+  // to wrap to 2 (a 2-AP fabric) and 2^32 + 1 to one replication.
+  struct Case {
+    const char* key;
+    std::string text;
+  };
+  const std::string fleet = kFleet;
+  const Case cases[] = {
+      {"aps", fleet + "[topology]\naps = 4294967298\n"},
+      {"threads", fleet + "[shards]\nshards = 2\nthreads = 4294967298\n"},
+      {"quant_per_octave",
+       fleet + "[policy]\nmemo_cache = true\nquant_per_octave = 4294967304\n"},
+      {"replications",
+       "[scenario]\nmodel = squeezenet\nreplications = 4294967297\n"
+       "[edge]\ngflops = 50\n[device]\nrate = 1\n"},
+      {"threads", fleet + "[runtime]\nthreads = 4294967297\n"},
+      {"max_retries", fleet + "[faults]\nmax_retries = 4294967299\n"},
+      {"aps", fleet + "[topology]\naps = 1e30\n"},
+  };
+  for (const auto& c : cases) {
+    try {
+      load_scenario(util::IniFile::parse_string(c.text));
+      ADD_FAILURE() << "expected std::invalid_argument for " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioIni, FaultsSectionParses) {
   const auto s = load_scenario(util::IniFile::parse_string(
       std::string(kFleet) +
@@ -482,12 +514,10 @@ TEST(ScenarioIni, ShardsSectionParses) {
       std::string(kFleet) +
       "[shards]\n"
       "shards = 4\n"
-      "threads = 2\n"
-      "window_ms = 10\n"));
+      "threads = 2\n"));
   const auto& sh = s.config.shards;
   EXPECT_EQ(sh.shards, 4u);
   EXPECT_EQ(sh.threads, 2);
-  EXPECT_DOUBLE_EQ(sh.window_s, util::ms(10.0));
   EXPECT_TRUE(sh.enabled());
 }
 
@@ -499,7 +529,6 @@ TEST(ScenarioIni, ShardsOmittedOrEmptyStaysSingleQueue) {
   EXPECT_FALSE(empty.config.shards.enabled());
   EXPECT_EQ(empty.config.shards.shards, 1u);
   EXPECT_EQ(empty.config.shards.threads, 0);
-  EXPECT_DOUBLE_EQ(empty.config.shards.window_s, 0.0);
 }
 
 TEST(ScenarioIni, ShardsSectionValidation) {
@@ -513,12 +542,22 @@ TEST(ScenarioIni, ShardsSectionValidation) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown key 'shard'"), std::string::npos) << what;
-    EXPECT_NE(what.find("window_ms"), std::string::npos) << what;
+    EXPECT_NE(what.find("(valid keys: shards threads)"), std::string::npos)
+        << what;
   }
   EXPECT_THROW(load("[shards]\nshards = 0\n"), std::invalid_argument);
   EXPECT_THROW(load("[shards]\nshards = -2\n"), std::invalid_argument);
   EXPECT_THROW(load("[shards]\nthreads = -1\n"), std::invalid_argument);
-  EXPECT_THROW(load("[shards]\nwindow_ms = -5\n"), std::invalid_argument);
+  // The window is always the edge-cloud propagation delay; the old
+  // window_ms knob is an unknown key now.
+  try {
+    load("[shards]\nwindow_ms = 10\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'window_ms'"),
+              std::string::npos)
+        << e.what();
+  }
   // Sharded execution rejects configurations outside its contract at run
   // time (validate_sharded in simulation.cpp), with an error naming the
   // escape hatch.

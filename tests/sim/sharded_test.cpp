@@ -141,16 +141,6 @@ TEST(ShardRange, PartitionsContiguouslyAndBalanced) {
   EXPECT_EQ(prev_hi, n);
 }
 
-TEST(ShardWindow, ClampsToHubPropagationDelay) {
-  ShardOptions opts;
-  const double lat = 0.030;
-  EXPECT_EQ(shard_window(opts, lat), lat);  // 0 = widest safe window
-  opts.window_s = 0.010;
-  EXPECT_EQ(shard_window(opts, lat), 0.010);
-  opts.window_s = 1.0;  // wider than safe: clamped
-  EXPECT_EQ(shard_window(opts, lat), lat);
-}
-
 TEST(ResolveShardThreads, ClampsToShardCountAndStaysPositive) {
   ShardOptions opts;
   opts.threads = 16;
@@ -168,9 +158,6 @@ TEST(ShardOptionsValidate, RejectsBadValues) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
   opts = {};
   opts.threads = -1;
-  EXPECT_THROW(opts.validate(), std::invalid_argument);
-  opts = {};
-  opts.window_s = -0.5;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 

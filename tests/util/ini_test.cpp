@@ -65,6 +65,44 @@ TEST(Ini, TypedGetterErrors) {
   EXPECT_THROW(s.get_bool("x", false), std::invalid_argument);
 }
 
+TEST(Ini, IntegersAreCheckedBeforeTheCast) {
+  const auto ini = IniFile::parse_string(
+      "[s]\nnan = nan\ninf = inf\nninf = -inf\nhuge = 1e30\n"
+      "edge = 9223372036854775808\nbig = 4294967298\nneg = -4294967298\n"
+      "ok = -12\n");
+  const auto& s = ini.only("s");
+  for (const char* key : {"nan", "inf", "ninf", "huge", "edge"}) {
+    try {
+      s.get_int(key);
+      ADD_FAILURE() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(s.get_int("big"), 4294967298LL);
+  EXPECT_EQ(s.get_int("ok"), -12);
+  // get_int32 narrows in one checked place.
+  EXPECT_EQ(s.get_int32("ok", 0), -12);
+  EXPECT_EQ(s.get_int32("missing", 7), 7);
+  EXPECT_THROW(s.get_int32("big", 0), std::invalid_argument);
+  EXPECT_THROW(s.get_int32("neg", 0), std::invalid_argument);
+  EXPECT_THROW(s.get_int32("nan", 0), std::invalid_argument);
+}
+
+TEST(Ini, CheckKeysNamesTheSectionAndTheValidKeys) {
+  const auto ini = IniFile::parse_string("[faults]\nb = 1\nzz = 2\n");
+  const auto& s = ini.only("faults");
+  EXPECT_NO_THROW(s.check_keys({"a", "b", "zz"}));
+  try {
+    s.check_keys({"a", "b"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "[faults] unknown key 'zz' (valid keys: a b)");
+  }
+}
+
 TEST(Ini, MalformedInput) {
   EXPECT_THROW(IniFile::parse_string("key = 1\n"), std::invalid_argument);
   EXPECT_THROW(IniFile::parse_string("[s\n"), std::invalid_argument);
