@@ -6,8 +6,12 @@
 // the device and its edge share. This header exposes the slot cost terms
 // (eqs. 12-14), the drift-plus-penalty objective (eq. 19), the bandwidth
 // feasibility interval (eq. 8), and two solvers: exact scalar minimisation
-// and the paper's decentralized T_d = T_e balance rule (eq. 20).
+// and the paper's decentralized T_d = T_e balance rule (eq. 20). Each
+// solver also has a fleet form that decides many devices per call and
+// returns the scalar form's doubles bit for bit (DESIGN.md §12).
 #pragma once
+
+#include <span>
 
 #include "core/partition.h"
 
@@ -41,7 +45,9 @@ struct DeviceSlotState {
   bool edge_available = true;
   LyapunovConfig config;
 
-  /// Throws std::invalid_argument on inconsistent values.
+  /// Throws std::invalid_argument naming the offending field on a
+  /// non-finite value, a non-positive FLOPS/bandwidth/tau, a negative
+  /// latency/queue/arrivals/backlog/V, or tau <= latency.
   void validate() const;
 };
 
@@ -89,5 +95,18 @@ double minimize_drift_plus_penalty(const DeviceSlotState& s);
 /// (eq. 20's equality condition), clipped to the feasible interval.
 /// Falls back to the interval endpoint when no crossing exists.
 double balance_offload_ratio(const DeviceSlotState& s);
+
+/// Devices the fleet forms below solve in lockstep.
+inline constexpr int kFleetLanes = 8;
+
+/// Fleet forms: out[i] = minimize_drift_plus_penalty(states[i]) (resp.
+/// balance_offload_ratio) bit for bit. Devices are solved kFleetLanes at a
+/// time in lockstep, which overlaps their dependent refinement probes.
+/// Validation and the solver's internal checks throw the exception type
+/// the scalar loop over `states` would; `out` must be as long as `states`.
+void minimize_drift_plus_penalty_fleet(std::span<const DeviceSlotState> states,
+                                       std::span<double> out);
+void balance_offload_ratio_fleet(std::span<const DeviceSlotState> states,
+                                 std::span<double> out);
 
 }  // namespace leime::core

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/lyapunov.h"
@@ -19,6 +20,12 @@ class OffloadPolicy {
   /// Returns the offloading ratio x ∈ [0,1] for this device and slot.
   virtual double decide(const DeviceSlotState& state) const = 0;
 
+  /// Fleet form: out[i] = decide(states[i]) bit for bit, throwing what the
+  /// loop over decide() would throw; out must be as long as states. The
+  /// default is that loop; policies with a faster fleet solver override it.
+  virtual void decide_fleet(std::span<const DeviceSlotState> states,
+                            std::span<double> out) const;
+
   virtual std::string name() const = 0;
 };
 
@@ -26,6 +33,9 @@ class OffloadPolicy {
 class LeimePolicy final : public OffloadPolicy {
  public:
   double decide(const DeviceSlotState& state) const override;
+  /// minimize_drift_plus_penalty_fleet.
+  void decide_fleet(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return "LEIME"; }
 };
 
@@ -33,6 +43,9 @@ class LeimePolicy final : public OffloadPolicy {
 class BalancePolicy final : public OffloadPolicy {
  public:
   double decide(const DeviceSlotState& state) const override;
+  /// balance_offload_ratio_fleet.
+  void decide_fleet(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return "LEIME-balance"; }
 };
 
@@ -77,6 +90,9 @@ class FallbackPolicy final : public OffloadPolicy {
  public:
   explicit FallbackPolicy(std::unique_ptr<OffloadPolicy> inner);
   double decide(const DeviceSlotState& state) const override;
+  /// Forwards each run of edge-available states to the inner fleet form.
+  void decide_fleet(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return inner_->name() + "+fallback"; }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
 
 #include "prof/profiler.h"
 
@@ -22,6 +21,14 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One thread's dedup scratch, kept across calls.
+struct DedupScratch {
+  std::vector<std::size_t> slots;  ///< open addressing: group + 1, 0 = empty
+  std::vector<std::size_t> group_of;         ///< device -> group
+  std::vector<core::DeviceSlotState> reps;   ///< first member of each group
+  std::vector<double> rep_x;
+};
 
 }  // namespace
 
@@ -62,30 +69,34 @@ BatchStats decide_fleet(const core::OffloadPolicy& policy,
                         const std::vector<core::DeviceSlotState>& states,
                         std::vector<double>& out) {
   LEIME_PROF_SCOPE("leime.policy.decide_fleet");
-  BatchStats stats;
-  out.resize(states.size());
-  // hash -> representative indices (chained on exact comparison, so a hash
-  // collision costs one extra compare, never a wrong dedup).
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> reps;
-  reps.reserve(states.size());
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    auto& chain = reps[slot_state_hash(states[i])];
-    bool found = false;
-    for (const std::size_t r : chain) {
-      if (slot_state_bits_equal(states[r], states[i])) {
-        out[i] = out[r];
-        ++stats.reused;
-        found = true;
-        break;
-      }
+  thread_local DedupScratch sc;
+  const std::size_t n = states.size();
+  out.resize(n);
+  // A power-of-two table at most half full, sized from this fleet (never
+  // from the scratch's capacity). A hash collision costs one extra compare,
+  // never a wrong dedup.
+  std::size_t mask = 15;
+  while (mask < 2 * n) mask = 2 * mask + 1;
+  sc.slots.assign(mask + 1, 0);
+  sc.group_of.resize(n);
+  sc.reps.clear();
+  sc.reps.reserve(n);  // so any fleet up to this size reuses the buffers
+  sc.rep_x.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t h = slot_state_hash(states[i]) & mask;
+    while (sc.slots[h] != 0 &&
+           !slot_state_bits_equal(sc.reps[sc.slots[h] - 1], states[i]))
+      h = (h + 1) & mask;
+    if (sc.slots[h] == 0) {
+      sc.reps.push_back(states[i]);
+      sc.slots[h] = sc.reps.size();
     }
-    if (!found) {
-      out[i] = policy.decide(states[i]);
-      chain.push_back(i);
-      ++stats.groups;
-    }
+    sc.group_of[i] = sc.slots[h] - 1;
   }
-  return stats;
+  sc.rep_x.resize(sc.reps.size());
+  policy.decide_fleet(sc.reps, sc.rep_x);
+  for (std::size_t i = 0; i < n; ++i) out[i] = sc.rep_x[sc.group_of[i]];
+  return {sc.reps.size(), n - sc.reps.size()};
 }
 
 }  // namespace leime::policy

@@ -2,8 +2,9 @@
 //
 // Groups devices whose DeviceSlotState is bit-identical — field-wise IEEE
 // bit comparison, never a raw memcmp (padding bytes are indeterminate) —
-// and calls the policy once per group, copying the group's double to every
-// member. The policy contract (core::OffloadPolicy::decide is a pure
+// solves one representative per group in a single policy.decide_fleet call
+// and copies the group's double to every member. The policy contract
+// (core::OffloadPolicy::decide_fleet returns decide() bit for bit, a pure
 // function of the state) plus bit-identical inputs means every device
 // receives exactly the double the sequential loop would have produced:
 // equality within 0 ULP with no summation reordering anywhere, which is
@@ -12,7 +13,9 @@
 // The win is real for the common fleets: homogeneous device classes
 // produce identical slot states whenever their queues drain to the same
 // lengths (e.g. underloaded or saturated regimes), and each dedup saves a
-// full golden-section solve.
+// full golden-section solve. The index is an open-addressing table over
+// per-thread scratch, so a call on a fleet no larger than an earlier one
+// on the same thread allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +41,7 @@ struct BatchStats {
 
 /// Fills out[i] with policy.decide(states[i]) for every device, solving
 /// each group of bit-identical states once. out is resized to match.
+/// Thread-safe: the scratch is thread_local.
 BatchStats decide_fleet(const core::OffloadPolicy& policy,
                         const std::vector<core::DeviceSlotState>& states,
                         std::vector<double>& out);

@@ -171,8 +171,7 @@ void Engine::decide_fleet(const core::OffloadPolicy& policy,
                           std::vector<double>& out) const {
   if (!config_.batch_eq20) {
     out.resize(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      out[i] = policy.decide(states[i]);
+    policy.decide_fleet(states, out);
     return;
   }
   const auto stats = policy::decide_fleet(policy, states, out);

@@ -97,8 +97,9 @@ class Engine {
 
   /// Per-slot offload ratios for a whole fleet: out[i] =
   /// policy.decide(states[i]) within 0 ULP. With batch_eq20 bit-identical
-  /// states are solved once (batch.h); off, it is literally the sequential
-  /// loop. Thread-safe (only local scratch plus atomic counters).
+  /// states are solved once (batch.h); off, it is the policy's own fleet
+  /// form (core::OffloadPolicy::decide_fleet). Thread-safe (only
+  /// thread-local scratch plus atomic counters).
   void decide_fleet(const core::OffloadPolicy& policy,
                     const std::vector<core::DeviceSlotState>& states,
                     std::vector<double>& out) const;

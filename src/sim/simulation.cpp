@@ -794,27 +794,31 @@ class Simulation {
     return s;
   }
 
-  void decide(std::size_t i) {
-    LEIME_PROF_SCOPE("leime.sim.decide");
-    const auto state = observe(i);
-    apply_decision(i, state, policy_->decide(state));
-  }
-
-  /// Slot decisions for the whole fleet. The default path is the
-  /// sequential per-device loop; with [policy] batch_eq20 the engine
-  /// dedups bit-identical states and calls the policy once per group —
-  /// result-identical within 0 ULP (src/policy/batch.h), proven by the
-  /// golden invariance test.
+  /// Slot decisions for the owned devices: the only decision path. Devices
+  /// are observed, decided and applied a chunk at a time, so the policy's
+  /// fleet form (core::OffloadPolicy::decide_fleet) fills its lockstep lanes
+  /// while the scratch stays at kDecideChunk states. With [policy]
+  /// batch_eq20 the chunk is the whole owned fleet: the engine dedups
+  /// bit-identical states across it (src/policy/batch.h). Decisions touch no
+  /// queue, consume no RNG and schedule no event, and observers are pure
+  /// taps, so every value and event matches a per-device loop.
   void decide_all() {
-    if (engine_) {
+    LEIME_PROF_SCOPE("leime.sim.decide");
+    const std::size_t chunk = engine_ ? hi_ - lo_ : kDecideChunk;
+    scratch_states_.reserve(std::min(chunk, hi_ - lo_));
+    for (std::size_t begin = lo_; begin < hi_; begin += chunk) {
+      const std::size_t end = std::min(hi_, begin + chunk);
       scratch_states_.clear();
-      for (std::size_t i = lo_; i < hi_; ++i)
+      for (std::size_t i = begin; i < end; ++i)
         scratch_states_.push_back(observe(i));
-      engine_->decide_fleet(*policy_, scratch_states_, scratch_x_);
-      for (std::size_t i = lo_; i < hi_; ++i)
-        apply_decision(i, scratch_states_[i - lo_], scratch_x_[i - lo_]);
-    } else {
-      for (std::size_t i = lo_; i < hi_; ++i) decide(i);
+      if (engine_) {
+        engine_->decide_fleet(*policy_, scratch_states_, scratch_x_);
+      } else {
+        scratch_x_.resize(end - begin);
+        policy_->decide_fleet(scratch_states_, scratch_x_);
+      }
+      for (std::size_t i = begin; i < end; ++i)
+        apply_decision(i, scratch_states_[i - begin], scratch_x_[i - begin]);
     }
     // Each decision epoch logs its x values in device order; the
     // coordinator replays them in (epoch, shard) order to rebuild the
@@ -825,7 +829,7 @@ class Simulation {
     }
   }
 
-  /// Decision bookkeeping shared by the sequential and batched paths.
+  /// Decision bookkeeping for one device.
   void apply_decision(std::size_t i, const core::DeviceSlotState& state,
                       double x) {
     auto& dev = *devices_[i];
@@ -1167,14 +1171,16 @@ class Simulation {
   std::unique_ptr<net::Fabric> fabric_;  ///< topology mode; else nullptr
   std::unique_ptr<FifoProcessor> cloud_;
   std::unique_ptr<core::OffloadPolicy> policy_;
-  /// Set iff cfg_.policy_core.batch_eq20; scratch vectors reused across
-  /// slots so the batched path allocates nothing in steady state.
+  /// Set iff cfg_.policy_core.batch_eq20.
   std::unique_ptr<policy::Engine> policy_engine_;
   /// The engine decisions actually go through: the shared coordinator
   /// engine in sharded mode, policy_engine_.get() otherwise (null = the
-  /// sequential per-device path).
+  /// policy's fleet form, chunk by chunk).
   policy::Engine* engine_ = nullptr;
   policy::Stats policy_stats_baseline_;
+  /// decide_all's scratch, reused across slots so decisions allocate nothing
+  /// in steady state: kDecideChunk states, or the owned fleet with an engine.
+  static constexpr std::size_t kDecideChunk = 64;
   std::vector<core::DeviceSlotState> scratch_states_;
   std::vector<double> scratch_x_;
   /// Sharded mode only: per-epoch offload decisions in device order (the

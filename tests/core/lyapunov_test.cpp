@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/partition.h"
 #include "models/zoo.h"
 
@@ -234,6 +238,93 @@ TEST(Lyapunov, Validation) {
   s = base_state(part);
   s.queue_device = -1.0;
   EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
+
+// Every field rejects NaN and ±inf with std::invalid_argument naming it.
+// Before, `v <= 0.0`-style checks let NaN through: the solvers returned
+// x = 0 or 1 on most fields and tripped an internal LEIME_CHECK on
+// edge_share_flops and arrivals.
+template <class Set>
+void expect_non_finite_rejected(const std::string& field, Set set) {
+  const auto part = test_partition();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    auto s = base_state(part);
+    set(s, bad);
+    try {
+      s.validate();
+      ADD_FAILURE() << field << " = " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(": " + field + " must"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(minimize_drift_plus_penalty(s), std::invalid_argument);
+    EXPECT_THROW(balance_offload_ratio(s), std::invalid_argument);
+  }
+}
+
+TEST(LyapunovValidation, DeviceFlopsMustBeFinite) {
+  expect_non_finite_rejected(
+      "device_flops", [](DeviceSlotState& s, double v) { s.device_flops = v; });
+}
+
+TEST(LyapunovValidation, EdgeShareFlopsMustBeFinite) {
+  expect_non_finite_rejected("edge_share_flops",
+                             [](DeviceSlotState& s, double v) {
+                               s.edge_share_flops = v;
+                             });
+}
+
+TEST(LyapunovValidation, BandwidthMustBeFinite) {
+  expect_non_finite_rejected(
+      "bandwidth", [](DeviceSlotState& s, double v) { s.bandwidth = v; });
+}
+
+TEST(LyapunovValidation, LatencyMustBeFinite) {
+  expect_non_finite_rejected(
+      "latency", [](DeviceSlotState& s, double v) { s.latency = v; });
+}
+
+TEST(LyapunovValidation, QueueDeviceMustBeFinite) {
+  expect_non_finite_rejected(
+      "queue_device", [](DeviceSlotState& s, double v) { s.queue_device = v; });
+}
+
+TEST(LyapunovValidation, QueueEdgeMustBeFinite) {
+  expect_non_finite_rejected(
+      "queue_edge", [](DeviceSlotState& s, double v) { s.queue_edge = v; });
+}
+
+TEST(LyapunovValidation, ArrivalsMustBeFinite) {
+  expect_non_finite_rejected(
+      "arrivals", [](DeviceSlotState& s, double v) { s.arrivals = v; });
+}
+
+TEST(LyapunovValidation, VMustBeFinite) {
+  expect_non_finite_rejected(
+      "V", [](DeviceSlotState& s, double v) { s.config.V = v; });
+}
+
+TEST(LyapunovValidation, TauMustBeFinite) {
+  expect_non_finite_rejected(
+      "tau", [](DeviceSlotState& s, double v) { s.config.tau = v; });
+}
+
+// A negative backlog used to be accepted and enlarge the eq. 8 budget.
+TEST(LyapunovValidation, UplinkBacklogMustBeFiniteAndNonNegative) {
+  expect_non_finite_rejected("uplink_backlog_bytes",
+                             [](DeviceSlotState& s, double v) {
+                               s.uplink_backlog_bytes = v;
+                             });
+  const auto part = test_partition();
+  auto s = base_state(part);
+  s.uplink_backlog_bytes = -1.0;
+  EXPECT_THROW(s.validate(), std::invalid_argument);
+  s.uplink_backlog_bytes = 0.0;
+  EXPECT_NO_THROW(s.validate());
 }
 
 }  // namespace

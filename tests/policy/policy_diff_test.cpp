@@ -2,12 +2,20 @@
 // randomized churn traces the engine with memo cache + warm start enabled
 // returns the *identical* (combo, cost) the cold reference search returns
 // — exact integer equality on the combo and bit-for-bit equality on the
-// cost double — and the batched fleet path reproduces the sequential
-// per-device loop within 0 ULP. Trace substreams are addressed via
-// util::Rng::split so every trace replays bit-for-bit on any platform.
+// cost double — and the batched fleet path and the lockstep fleet solvers
+// reproduce the sequential per-device loop within 0 ULP. Trace substreams
+// are addressed via util::Rng::split so every trace replays bit-for-bit on
+// any platform.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +26,7 @@
 #include "policy/batch.h"
 #include "policy/engine.h"
 #include "policy/warm_start.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace leime::policy {
@@ -256,9 +265,9 @@ TEST(PolicyDiff, BatchedFleetDecisionsMatchSequentialBitForBit) {
   EXPECT_GT(total_reused, 1000u);  // the dedup path was genuinely hit
 }
 
-// The Engine's decide_fleet with batch_eq20 off must be *literally* the
-// sequential loop, and with it on must match (same 0-ULP property, one
-// layer up, including the stats plumbing).
+// The Engine's decide_fleet must match the sequential loop with batch_eq20
+// off (the policy's fleet form) and on (same 0-ULP property, one layer up,
+// including the stats plumbing).
 TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
   util::Rng rng(0xF1EE7ull);
   const auto profile = random_profile(12, rng);
@@ -283,6 +292,228 @@ TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
   EXPECT_EQ(batched_engine.stats().batch_reused, 2u);
   EXPECT_EQ(batched_engine.stats().batch_groups, 22u);
   EXPECT_EQ(plain_engine.stats().batch_groups, 0u);
+}
+
+
+// ------------------------------------------ fleet solvers ≡ scalar solvers
+
+/// Hand-built partitions beside the drawn one: both signs of the eq. 8
+/// slope, so a backlog over the budget pins the interval at [0,0] (`cap`)
+/// or [1,1] (`floor`), and σ1 = 1, where eq. 9's denominator is 0 at x = 0.
+std::vector<core::MeDnnPartition> solver_partitions(
+    const core::MeDnnPartition& drawn) {
+  core::MeDnnPartition cap;  // d0 > (1−σ1)·d1: offloading costs uplink
+  cap.mu1 = 5e9;
+  cap.mu2 = 1e9;
+  cap.d0 = 150e3;
+  cap.d1 = 50e3;
+  cap.sigma1 = 0.55;
+  core::MeDnnPartition floor = cap;  // d0 < (1−σ1)·d1: offloading saves it
+  floor.mu1 = 2e9;
+  floor.mu2 = 4e9;
+  floor.d1 = 300e3;
+  floor.sigma1 = 0.3;
+  core::MeDnnPartition all_exit = cap;
+  all_exit.sigma1 = 1.0;
+  return {drawn, cap, floor, all_exit};
+}
+
+/// random_state, and one time in two one of the solvers' edge cases.
+core::DeviceSlotState edge_case_state(
+    const std::vector<core::MeDnnPartition>& parts, util::Rng& rng) {
+  const auto& part = parts[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(parts.size()) - 1))];
+  auto s = random_state(&part, rng);
+  switch (rng.uniform_int(0, 11)) {
+    case 0:  // empty slot: probes with a = d = 0
+      s.arrivals = 0.0;
+      break;
+    case 1:  // a backlog over the eq. 8 budget
+      s.uplink_backlog_bytes = 1e12;
+      break;
+    case 2:
+      s.config.V = 0.0;
+      break;
+    case 3:
+      s.config.tau = rng.uniform(0.2, 4.0);
+      s.latency = std::min(s.latency, 0.5 * s.config.tau);
+      break;
+    case 4:  // a tiny edge share: eq. 9 may underflow to 0 (the solver throws)
+      s.edge_share_flops = std::pow(10.0, -rng.uniform(280.0, 323.0));
+      break;
+    case 5:
+      s.queue_device = 0.0;
+      s.queue_edge = 0.0;
+      break;
+    default:
+      break;
+  }
+  return s;
+}
+
+/// How a decision call ended.
+enum class Outcome { kReturned, kInvalidArgument, kCheckError };
+
+template <class F>
+Outcome outcome_of(F&& f) {
+  try {
+    f();
+    return Outcome::kReturned;
+  } catch (const util::CheckError&) {
+    return Outcome::kCheckError;
+  } catch (const std::invalid_argument&) {
+    return Outcome::kInvalidArgument;
+  }
+}
+
+std::vector<std::unique_ptr<core::OffloadPolicy>> fleet_policies() {
+  std::vector<std::unique_ptr<core::OffloadPolicy>> out;
+  for (const char* name : {"LEIME", "LEIME-balance", "LEIME+fallback",
+                           "LEIME-balance+fallback"})
+    out.push_back(core::make_policy(name));
+  return out;
+}
+
+// The tentpole property of the fleet solvers: over >10^5 generated states,
+// every fleet size around the lane count and every edge-availability mix,
+// decide_fleet returns decide()'s doubles bit for bit.
+TEST(PolicyDiff, FleetSolversMatchScalarBitForBit) {
+  util::Rng profile_rng(11);
+  const auto profile = random_profile(16, profile_rng);
+  const auto parts =
+      solver_partitions(core::make_partition(profile, {4, 9, 16}));
+  const auto policies = fleet_policies();
+  const core::LeimePolicy leime;
+  const core::BalancePolicy balance;
+  const std::size_t lanes = core::kFleetLanes;
+  const std::size_t sizes[] = {0, 1, lanes - 1, lanes, lanes + 1, 1000};
+  const util::Rng base(0xF1EE7D1Full);
+
+  std::size_t compared = 0, pinned_lo = 0, pinned_hi = 0, skipped = 0;
+  for (int round = 0; round < 100; ++round) {
+    util::Rng rng = base.split(static_cast<std::uint64_t>(round));
+    for (const std::size_t n : sizes) {
+      // 0: edge everywhere, 1: nowhere, 2: mixed.
+      const auto availability = rng.uniform_int(0, 2);
+      std::vector<core::DeviceSlotState> states;
+      while (states.size() < n) {
+        auto s = edge_case_state(parts, rng);
+        s.edge_available = availability == 0   ? true
+                           : availability == 1 ? false
+                                               : rng.uniform() < 0.5;
+        // States the scalar solvers throw on are the next test's subject.
+        if (outcome_of([&] { leime.decide(s); }) != Outcome::kReturned ||
+            outcome_of([&] { balance.decide(s); }) != Outcome::kReturned) {
+          ++skipped;
+          continue;
+        }
+        const auto iv = core::feasible_offload_interval(s);
+        pinned_lo += iv.lo == 0.0 && iv.hi == 0.0;
+        pinned_hi += iv.lo == 1.0 && iv.hi == 1.0;
+        states.push_back(s);
+      }
+      for (const auto& policy : policies) {
+        std::vector<double> fleet(n, std::numeric_limits<double>::quiet_NaN());
+        policy->decide_fleet(states, fleet);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double scalar = policy->decide(states[i]);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(fleet[i]),
+                    std::bit_cast<std::uint64_t>(scalar))
+              << policy->name() << " round " << round << " n " << n
+              << " dev " << i << ": fleet " << fleet[i] << " scalar "
+              << scalar;
+        }
+      }
+      compared += n;
+    }
+  }
+  EXPECT_GE(compared, 100000u);
+  // The edge cases were genuinely hit.
+  EXPECT_GT(pinned_lo, 100u);
+  EXPECT_GT(pinned_hi, 100u);
+  EXPECT_GT(skipped, 100u);
+}
+
+// A state the scalar path throws on throws the same exception type from the
+// fleet path: alone, between valid devices, and (in the scalar loop's
+// order) when two different failures share one fleet.
+TEST(PolicyDiff, FleetSolversThrowWhereScalarThrows) {
+  util::Rng profile_rng(12);
+  const auto profile = random_profile(16, profile_rng);
+  const auto parts =
+      solver_partitions(core::make_partition(profile, {4, 9, 16}));
+  const auto policies = fleet_policies();
+  util::Rng rng(0x7A120ull);
+
+  std::vector<core::DeviceSlotState> bad;
+  for (int i = 0; i < 200; ++i) {  // tiny edge shares: eq. 9 underflows
+    auto s = random_state(&parts[static_cast<std::size_t>(i) % parts.size()],
+                          rng);
+    s.edge_share_flops = std::pow(10.0, -rng.uniform(300.0, 323.0));
+    s.edge_available = true;
+    bad.push_back(s);
+  }
+  const auto valid = random_state(&parts[0], rng);
+  auto nan_queue = valid;
+  nan_queue.queue_device = std::numeric_limits<double>::quiet_NaN();
+  auto negative_backlog = valid;
+  negative_backlog.uplink_backlog_bytes = -1.0;
+  auto no_partition = valid;
+  no_partition.partition = nullptr;
+  auto offline = nan_queue;  // +fallback never validates it
+  offline.edge_available = false;
+  for (const auto& s : {nan_queue, negative_backlog, no_partition, offline})
+    bad.push_back(s);
+
+  std::vector<core::DeviceSlotState> good;
+  for (int i = 0; i < 20; ++i) {
+    good.push_back(random_state(&parts[0], rng));
+    good.back().edge_available = true;
+  }
+
+  int seen[3] = {0, 0, 0};
+  for (const auto& policy : policies) {
+    for (const auto& s : bad) {
+      const Outcome scalar = outcome_of([&] { policy->decide(s); });
+      ++seen[static_cast<int>(scalar)];
+      double x = 0.0;
+      EXPECT_EQ(outcome_of([&] {
+                  policy->decide_fleet(std::span(&s, 1), std::span(&x, 1));
+                }),
+                scalar)
+          << policy->name();
+      auto fleet = good;
+      fleet.insert(fleet.begin() + 11, s);
+      std::vector<double> out(fleet.size());
+      EXPECT_EQ(outcome_of([&] { policy->decide_fleet(fleet, out); }), scalar)
+          << policy->name();
+    }
+    // Two failures in one fleet: the earlier device's exception wins, as in
+    // the scalar loop, whichever lane group each lands in.
+    const auto check_fails = std::find_if(bad.begin(), bad.end(), [&](auto& s) {
+      return outcome_of([&] { policy->decide(s); }) == Outcome::kCheckError;
+    });
+    ASSERT_NE(check_fails, bad.end()) << policy->name();
+    for (const std::size_t at : {std::size_t{0}, std::size_t{3},
+                                 std::size_t{9}}) {
+      auto fleet = good;
+      fleet.insert(fleet.begin() + static_cast<std::ptrdiff_t>(at),
+                   *check_fails);
+      fleet.insert(fleet.begin() + static_cast<std::ptrdiff_t>(at) + 5,
+                   nan_queue);
+      std::vector<double> out(fleet.size());
+      EXPECT_EQ(outcome_of([&] { policy->decide_fleet(fleet, out); }),
+                Outcome::kCheckError)
+          << policy->name() << " at " << at;
+      std::swap(fleet[at], fleet[at + 5]);
+      EXPECT_EQ(outcome_of([&] { policy->decide_fleet(fleet, out); }),
+                Outcome::kInvalidArgument)
+          << policy->name() << " at " << at;
+    }
+  }
+  EXPECT_GT(seen[static_cast<int>(Outcome::kCheckError)], 100);
+  EXPECT_GT(seen[static_cast<int>(Outcome::kInvalidArgument)], 0);
+  EXPECT_GT(seen[static_cast<int>(Outcome::kReturned)], 0);
 }
 
 }  // namespace
