@@ -10,16 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/partition.h"
 #include "models/zoo.h"
 #include "runtime/executor.h"
 #include "runtime/experiment_plan.h"
 #include "runtime/sinks.h"
+#include "sim/simulation.h"
 
 #ifndef LEIME_GOLDEN_DIR
 #define LEIME_GOLDEN_DIR "tests/golden"
@@ -80,16 +84,20 @@ std::string render(int threads, const sim::ScenarioConfig& base) {
 
 std::string render(int threads) { return render(threads, golden_base()); }
 
-TEST(Golden, JsonlSnapshotIsByteStableAtAnyThreadCount) {
-  const std::string path =
-      std::string(LEIME_GOLDEN_DIR) + "/runtime_faults.jsonl";
-  const auto serial = render(1);
-  EXPECT_EQ(serial, render(3))
-      << "executor thread count changed the collected bytes";
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
 
+/// Compares `actual` with the committed snapshot `name`, or rewrites the
+/// snapshot (and skips) when LEIME_REGEN_GOLDEN is set.
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(LEIME_GOLDEN_DIR) + "/" + name;
   if (std::getenv("LEIME_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
-    out << serial;
+    out << actual;
     ASSERT_TRUE(out.good()) << "could not write " << path;
     GTEST_SKIP() << "regenerated " << path;
   }
@@ -97,12 +105,17 @@ TEST(Golden, JsonlSnapshotIsByteStableAtAnyThreadCount) {
   ASSERT_TRUE(in.good())
       << "missing golden snapshot " << path
       << " (run once with LEIME_REGEN_GOLDEN=1 to create it)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(serial, golden.str())
-      << "simulator output drifted from the committed snapshot; if the "
-         "change is intentional, rerun with LEIME_REGEN_GOLDEN=1 and commit "
-         "the new file";
+  EXPECT_EQ(actual, read_file(path))
+      << name << " drifted from the committed snapshot; if the change is "
+      << "intentional, rerun with LEIME_REGEN_GOLDEN=1 and commit the new "
+      << "file";
+}
+
+TEST(Golden, JsonlSnapshotIsByteStableAtAnyThreadCount) {
+  const auto serial = render(1);
+  EXPECT_EQ(serial, render(3))
+      << "executor thread count changed the collected bytes";
+  expect_golden("runtime_faults.jsonl", serial);
 }
 
 TEST(Golden, PolicyFastPathsAreObservationallyInvisible) {
@@ -230,8 +243,6 @@ std::string render_network(int threads) {
 }
 
 TEST(Golden, NetworkModesSnapshotIsByteStableAtAnyThreadCount) {
-  const std::string path =
-      std::string(LEIME_GOLDEN_DIR) + "/runtime_network.jsonl";
   const auto serial = render_network(1);
   EXPECT_EQ(serial, render_network(3))
       << "executor thread count changed the collected bytes";
@@ -242,23 +253,80 @@ TEST(Golden, NetworkModesSnapshotIsByteStableAtAnyThreadCount) {
             std::string::npos);
   EXPECT_NE(serial.find("\"net\":{"), std::string::npos);
   EXPECT_NE(serial.find("\"attribution\":{\"tasks\":"), std::string::npos);
+  expect_golden("runtime_network.jsonl", serial);
+}
 
-  if (std::getenv("LEIME_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    out << serial;
-    ASSERT_TRUE(out.good()) << "could not write " << path;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << "missing golden snapshot " << path
-      << " (run once with LEIME_REGEN_GOLDEN=1 to create it)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(serial, golden.str())
-      << "network-mode output drifted from the committed snapshot; if the "
-         "change is intentional, rerun with LEIME_REGEN_GOLDEN=1 and commit "
-         "the new file";
+// Every observability output file, written by one small seeded run with
+// the routed fabric, faults, an SLO deadline that fires, provenance with
+// the oracle and every output path set; the runtime's merged Prometheus
+// file must equal the observer's. The JSONL snapshots above pin only the records; this
+// pins the bytes of each file the observer, the SLO monitor, the flight
+// recorder and the task trace write.
+TEST(Golden, ObsOutputFilesAreByteStable) {
+  const std::string dir = ::testing::TempDir() + "leime_obs_golden_";
+  sim::ScenarioConfig cfg = golden_base();
+  const sim::DeviceSpec pi = cfg.devices[0];
+  const sim::DeviceSpec nano = cfg.devices[1];
+  cfg.devices = {pi, nano, pi, nano};
+  cfg.devices[0].device_class = cfg.devices[2].device_class = "pi";
+  cfg.devices[1].device_class = cfg.devices[3].device_class = "nano";
+  cfg.duration = 20.0;
+  cfg.seed = 20240131;
+  cfg.topology.aps = 2;
+  cfg.topology.ap_bandwidth = util::mbps(8.0);
+  cfg.topology.ap_latency = util::ms(4.0);
+  cfg.topology.queue_limit_bytes = 1.5e6;
+  cfg.faults.edge.windows = {{8.0, 12.0}};
+  cfg.faults.link.windows = {{5.0, 9.0, /*device=*/0}};
+  cfg.faults.ap_windows = {{14.0, 16.0, /*device=*/1}};
+  cfg.faults.degradation.detection_timeout = 0.5;
+  cfg.faults.degradation.task_timeout = 3.0;
+  cfg.faults.degradation.probe_period = 0.5;
+  cfg.faults.degradation.max_retries = 2;
+  cfg.policy_core.batch_eq20 = true;
+  cfg.obs.trace_sample = 3;
+  cfg.obs.slo.deadline = 0.25;
+  cfg.obs.slo.window = 5.0;
+  cfg.obs.slo.min_window_tasks = 5;
+  cfg.obs.provenance.sample_n = 3;
+  cfg.obs.provenance.ring_capacity = 8;
+  cfg.obs.provenance.oracle_sample_n = 2;
+
+  const std::vector<std::pair<std::string, std::string*>> files = {
+      {"metrics_out", &cfg.obs.metrics_out},
+      {"metrics_jsonl", &cfg.obs.metrics_jsonl},
+      {"trace_out", &cfg.obs.trace_out},
+      {"timeseries_out", &cfg.obs.timeseries_out},
+      {"attribution_out", &cfg.obs.attribution_out},
+      {"calibration_out", &cfg.obs.calibration_out},
+      {"alerts_out", &cfg.obs.slo.alerts_out},
+      {"decisions_out", &cfg.obs.provenance.decisions_out},
+      {"dump_out", &cfg.obs.provenance.dump_out},
+      {"task_trace", &cfg.task_trace_path},
+  };
+  for (const auto& [name, path] : files) *path = dir + name;
+  RunRecord rec;
+  rec.result = sim::run_scenario(cfg);
+  const std::string runtime_prom = dir + "runtime_metrics_prometheus";
+  write_metrics_prometheus(runtime_prom, {rec});
+
+  std::string text;
+  auto append = [&](const std::string& name, const std::string& path) {
+    const std::string body = read_file(path);
+    EXPECT_FALSE(body.empty()) << name << " was not written";
+    text += "== " + name + "\n" + body;
+    std::remove(path.c_str());
+  };
+  // One record merges to its own snapshot, so the runtime's Prometheus
+  // file must repeat the observer's byte for byte.
+  EXPECT_EQ(read_file(runtime_prom), read_file(cfg.obs.metrics_out));
+  std::remove(runtime_prom.c_str());
+  for (const auto& [name, path] : files) append(name, *path);
+  EXPECT_GT(rec.result.slo.alerts.size(), 0u) << "the SLO never fired";
+  EXPECT_GT(rec.result.provenance.oracle_runs, 0u);
+  EXPECT_TRUE(rec.result.net.active);
+  EXPECT_GT(rec.result.faults.edge_crashes, 0u);
+  expect_golden("obs_outputs.txt", text);
 }
 
 TEST(Golden, SnapshotCoversFaultsOnAndOff) {
