@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -10,35 +9,15 @@
 #include <thread>
 
 #include "util/clock.h"
-#include "util/csv.h"
+#include "util/output.h"
 #include "util/table.h"
 
 namespace leime::bench {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string trim(const std::string& s) {
   const auto a = s.find_first_not_of(" \t\r\n");
@@ -178,16 +157,7 @@ std::string Reporter::to_json() const {
 }
 
 void Reporter::write_json(const std::string& path) const {
-  {
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("bench: cannot open " + path);
-    out << to_json();
-    out.flush();
-    if (!out.good())
-      throw std::runtime_error("bench: write error on " + path);
-  }
-  if (!util::fsync_path(path))
-    throw std::runtime_error("bench: fsync failed for " + path);
+  util::write_file(path, "bench", [&](std::ostream& out) { out << to_json(); });
 }
 
 }  // namespace leime::bench

@@ -86,8 +86,8 @@ class Reporter {
   /// The BENCH record as a JSON string (schema 1, see header comment).
   std::string to_json() const;
 
-  /// Writes to_json() to `path` (fsynced; throws std::runtime_error on
-  /// failure, same contract as the obs exporters).
+  /// Writes to_json() to `path` through util::write_file (fsynced; throws
+  /// std::runtime_error on failure).
   void write_json(const std::string& path) const;
 
   /// Default output filename: BENCH_<bench_name>.json.

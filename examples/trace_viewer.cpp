@@ -57,6 +57,7 @@
 #include "sim/observer.h"
 #include "sim/scenario_ini.h"
 #include "sim/simulation.h"
+#include "util/output.h"
 #include "util/table.h"
 
 namespace {
@@ -77,7 +78,8 @@ int run(const std::string& ini_path, const std::string& out_path,
 
   const auto result = sim::run_scenario(scenario.config);
   const auto& trace = recorder.trace();
-  trace.write_chrome_trace_file(out_path);
+  util::write_file(out_path, "trace",
+                   [&](std::ostream& out) { trace.write_chrome_trace(out); });
 
   std::map<std::string, std::size_t> per_track;
   for (const auto& s : trace.spans()) ++per_track[s.track];

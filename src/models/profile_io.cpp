@@ -1,11 +1,12 @@
 #include "models/profile_io.h"
 
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "util/output.h"
 
 namespace leime::models {
 
@@ -60,27 +61,25 @@ int parse_count(const std::string& token, const char* what) {
 void save_profile(const ModelProfile& profile, std::ostream& out) {
   out << kMagic << '\n';
   out << "name " << profile.name() << '\n';
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "input_bytes " << profile.input_bytes() << '\n';
+  out << "input_bytes " << util::num(profile.input_bytes()) << '\n';
   const int m = profile.num_units();
   out << "units " << m << '\n';
   for (int i = 1; i <= m; ++i) {
     const auto& u = profile.unit(i);
-    out << u.name << ' ' << u.flops << ' ' << u.out_bytes << '\n';
+    out << u.name << ' ' << util::num(u.flops) << ' '
+        << util::num(u.out_bytes) << '\n';
   }
   out << "exits " << m << '\n';
   for (int i = 1; i <= m; ++i) {
     const auto& e = profile.exit(i);
-    out << e.classifier_flops << ' ' << e.exit_rate << ' ' << e.exit_accuracy
-        << '\n';
+    out << util::num(e.classifier_flops) << ' ' << util::num(e.exit_rate)
+        << ' ' << util::num(e.exit_accuracy) << '\n';
   }
 }
 
 void save_profile_file(const ModelProfile& profile, const std::string& path) {
-  std::ofstream out(path);
-  if (!out)
-    throw std::runtime_error("save_profile_file: cannot open " + path);
-  save_profile(profile, out);
+  util::write_file(path, "save_profile_file",
+                   [&](std::ostream& out) { save_profile(profile, out); });
 }
 
 ModelProfile load_profile(std::istream& in) {

@@ -2,37 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <ostream>
-#include <sstream>
+
+#include "util/output.h"
 
 namespace leime::obs {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-// Shortest-round-trip double formatting, matching the other deterministic
-// writers (metrics, trace, runtime sinks).
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 const char* kStageNames[kAttrStageCount] = {
     "local_compute", "uplink",        "edge_compute", "cloud_link",

@@ -249,8 +249,8 @@ struct AttributionSummary {
   void merge(const AttributionSummary& other);
 
   /// One JSON object (single line, no trailing newline): deterministic
-  /// key order, shortest-round-trip doubles — the representation sinks
-  /// embed in runtime JSONL.
+  /// key order, util::num doubles — the representation sinks embed in
+  /// runtime JSONL.
   void to_json(std::ostream& out) const;
 };
 

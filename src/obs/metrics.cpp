@@ -2,42 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::obs {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-// Shortest round-trip double formatting, mirroring the runtime JSONL sink:
-// equal values always serialize to equal bytes (the determinism contract).
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 // Prometheus text-exposition escaping. HELP lines escape backslash and
 // newline; label values additionally escape double quotes (the `le` bounds
@@ -351,20 +326,6 @@ void MetricsRegistry::absorb(const Snapshot& snap) {
     Histogram& mine = histogram(h.name, h.help, h.options);
     mine.absorb(h.counts, h.stats);
   }
-}
-
-void write_prometheus_file(const std::string& path, const Snapshot& snap) {
-  {
-    std::ofstream out(path);
-    if (!out)
-      throw std::runtime_error("metrics: cannot open " + path);
-    snap.to_prometheus(out);
-    out.flush();
-    if (!out.good())
-      throw std::runtime_error("metrics: write error on " + path);
-  }
-  if (!util::fsync_path(path))
-    throw std::runtime_error("metrics: fsync failed for " + path);
 }
 
 }  // namespace leime::obs

@@ -146,7 +146,7 @@ struct Snapshot {
   void merge(const Snapshot& other);
 
   /// Prometheus text exposition (HELP/TYPE lines, cumulative `le` buckets,
-  /// _sum/_count). Deterministic: shortest-round-trip doubles, name order.
+  /// _sum/_count). Deterministic: util::num doubles, name order.
   void to_prometheus(std::ostream& out) const;
 
   /// One self-describing JSON object per metric, one per line.
@@ -189,9 +189,5 @@ class MetricsRegistry {
 double histogram_quantile(const HistogramOptions& opts,
                           const std::vector<std::uint64_t>& counts,
                           const util::RunningStats& stats, double q);
-
-/// Writes snap.to_prometheus to `path`; flushes, fsyncs and throws
-/// std::runtime_error on write failure.
-void write_prometheus_file(const std::string& path, const Snapshot& snap);
 
 }  // namespace leime::obs

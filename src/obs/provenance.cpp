@@ -1,39 +1,17 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
-#include <fstream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::obs {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 void record_to_json(std::ostream& out, const DecisionRecord& r) {
   out << "{\"type\":\"decision\",\"seq\":" << r.seq << ",\"t\":" << num(r.t)
@@ -226,18 +204,6 @@ void write_decisions_jsonl(std::ostream& out,
     record_to_json(out, r);
     out << '\n';
   }
-}
-
-void write_decisions_file(const std::string& path,
-                          const std::vector<DecisionRecord>& records) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("provenance: cannot open " + path);
-  write_decisions_jsonl(out, records);
-  out.flush();
-  if (!out.good()) throw std::runtime_error("provenance: write error on " + path);
-  out.close();
-  if (!util::fsync_path(path))
-    throw std::runtime_error("provenance: fsync failed for " + path);
 }
 
 void write_flight_dump(std::ostream& out, double t, const std::string& cls,

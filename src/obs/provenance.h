@@ -160,7 +160,7 @@ struct ProvenanceSummary {
   void merge(const ProvenanceSummary& other);
 
   /// One JSON object (single line, no trailing newline): deterministic key
-  /// order, shortest-round-trip doubles.
+  /// order, util::num doubles.
   void to_json(std::ostream& out) const;
 };
 
@@ -218,11 +218,6 @@ class ProvenanceRecorder {
 /// examples/trace_viewer --decisions).
 void write_decisions_jsonl(std::ostream& out,
                            const std::vector<DecisionRecord>& records);
-
-/// write_decisions_jsonl to a file, fsynced. Throws std::runtime_error on
-/// write failure.
-void write_decisions_file(const std::string& path,
-                          const std::vector<DecisionRecord>& records);
 
 /// One postmortem: an "alert" header line, the flight-recorder window and
 /// the spans still open — appended to an already-open dump stream so

@@ -1,39 +1,17 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <fstream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::obs {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string cls_name(const std::vector<std::string>& names, std::size_t cls) {
   if (cls < names.size()) return names[cls];
@@ -214,19 +192,6 @@ void SloMonitor::write_alerts_jsonl(
                   a.burn, a.window_tasks);
     out << '\n';
   }
-}
-
-void SloMonitor::write_alerts_file(
-    const std::string& path,
-    const std::vector<std::string>& class_names) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("slo: cannot open " + path);
-  write_alerts_jsonl(out, class_names);
-  out.flush();
-  if (!out.good()) throw std::runtime_error("slo: write error on " + path);
-  out.close();
-  if (!util::fsync_path(path))
-    throw std::runtime_error("slo: fsync failed for " + path);
 }
 
 }  // namespace leime::obs

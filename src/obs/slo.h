@@ -109,11 +109,6 @@ class SloMonitor {
   void write_alerts_jsonl(std::ostream& out,
                           const std::vector<std::string>& class_names) const;
 
-  /// Writes, flushes and fsyncs `path`; throws std::runtime_error on
-  /// failure.
-  void write_alerts_file(const std::string& path,
-                         const std::vector<std::string>& class_names) const;
-
  private:
   struct ClassWindow {
     std::deque<std::pair<double, bool>> events;  ///< (t, missed)

@@ -1,26 +1,10 @@
 #include "obs/timeseries.h"
 
-#include <fstream>
-#include <iostream>
-#include <limits>
-#include <ostream>
-#include <sstream>
-#include <stdexcept>
-
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::obs {
 
-namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
+using util::num;
 
 std::vector<SlotSample> MemoryTimeseriesSink::device_series(int device) const {
   std::vector<SlotSample> out;
@@ -29,86 +13,18 @@ std::vector<SlotSample> MemoryTimeseriesSink::device_series(int device) const {
   return out;
 }
 
-// -------------------------------------------------------- CsvTimeseriesSink
-
-struct CsvTimeseriesSink::Impl {
-  util::CsvWriter writer;
-  explicit Impl(const std::string& path)
-      : writer(path, {"t", "device", "q", "h", "x", "drift", "penalty",
-                      "kept_arrivals", "offloaded_arrivals", "edge_up",
-                      "link_up", "edge_share_flops"}) {}
-};
-
 CsvTimeseriesSink::CsvTimeseriesSink(const std::string& path)
-    : impl_(std::make_unique<Impl>(path)) {}
-
-CsvTimeseriesSink::~CsvTimeseriesSink() = default;  // CsvWriter dtor closes
+    : writer_(path, {"t", "device", "q", "h", "x", "drift", "penalty",
+                     "kept_arrivals", "offloaded_arrivals", "edge_up",
+                     "link_up", "edge_share_flops"}) {}
 
 void CsvTimeseriesSink::append(const SlotSample& s) {
-  impl_->writer.add_row({num(s.t), std::to_string(s.device), num(s.q),
-                         num(s.h), num(s.x), num(s.drift), num(s.penalty),
-                         std::to_string(s.kept_arrivals),
-                         std::to_string(s.offloaded_arrivals),
-                         s.edge_up ? "1" : "0", s.link_up ? "1" : "0",
-                         num(s.edge_share_flops)});
-}
-
-void CsvTimeseriesSink::close() { impl_->writer.close(); }
-
-// ------------------------------------------------------ JsonlTimeseriesSink
-
-void slot_sample_to_json(const SlotSample& s, std::ostream& out) {
-  out << "{\"t\":" << num(s.t) << ",\"device\":" << s.device
-      << ",\"q\":" << num(s.q) << ",\"h\":" << num(s.h)
-      << ",\"x\":" << num(s.x) << ",\"drift\":" << num(s.drift)
-      << ",\"penalty\":" << num(s.penalty)
-      << ",\"kept_arrivals\":" << s.kept_arrivals
-      << ",\"offloaded_arrivals\":" << s.offloaded_arrivals
-      << ",\"edge_up\":" << (s.edge_up ? "true" : "false")
-      << ",\"link_up\":" << (s.link_up ? "true" : "false")
-      << ",\"edge_share_flops\":" << num(s.edge_share_flops) << "}";
-}
-
-struct JsonlTimeseriesSink::Impl {
-  std::string path;
-  std::ofstream out;
-  bool closed = false;
-  explicit Impl(const std::string& p) : path(p), out(p) {
-    if (!out)
-      throw std::runtime_error("timeseries: cannot open " + p);
-  }
-};
-
-JsonlTimeseriesSink::JsonlTimeseriesSink(const std::string& path)
-    : impl_(std::make_unique<Impl>(path)) {}
-
-JsonlTimeseriesSink::~JsonlTimeseriesSink() {
-  try {
-    close();
-  } catch (const std::exception& e) {
-    std::cerr << "timeseries: " << e.what() << "\n";
-  }
-}
-
-void JsonlTimeseriesSink::append(const SlotSample& s) {
-  if (impl_->closed)
-    throw std::runtime_error("timeseries: append after close: " + impl_->path);
-  slot_sample_to_json(s, impl_->out);
-  impl_->out << "\n";
-  if (!impl_->out.good())
-    throw std::runtime_error("timeseries: write error on " + impl_->path);
-}
-
-void JsonlTimeseriesSink::close() {
-  if (impl_->closed) return;
-  impl_->closed = true;
-  impl_->out.flush();
-  const bool ok = impl_->out.good();
-  impl_->out.close();
-  if (!ok || impl_->out.fail())
-    throw std::runtime_error("timeseries: write error on " + impl_->path);
-  if (!util::fsync_path(impl_->path))
-    throw std::runtime_error("timeseries: fsync failed for " + impl_->path);
+  writer_.add_row({num(s.t), std::to_string(s.device), num(s.q), num(s.h),
+                   num(s.x), num(s.drift), num(s.penalty),
+                   std::to_string(s.kept_arrivals),
+                   std::to_string(s.offloaded_arrivals),
+                   s.edge_up ? "1" : "0", s.link_up ? "1" : "0",
+                   num(s.edge_share_flops)});
 }
 
 }  // namespace leime::obs

@@ -1,6 +1,6 @@
 // Time-series probes: per-slot samples of the Lyapunov control state
 // (Q_i, H_i, offload ratio x_i, drift and penalty terms) plus fault-state
-// flags, written to a pluggable sink.
+// flags, kept in memory and written to CSV at the end of a run.
 //
 // Third pillar of the observability layer (DESIGN.md §8). The simulator
 // emits one SlotSample per device per control slot — exactly the
@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "util/csv.h"
 
 namespace leime::obs {
 
@@ -33,23 +33,11 @@ struct SlotSample {
   double edge_share_flops = 0.0;  ///< f_i^e: edge FLOPS share (eq. 27)
 };
 
-/// Destination for slot samples. Implementations must tolerate samples
-/// arriving in nondecreasing time order with interleaved device ids.
-class TimeseriesSink {
+/// Keeps every sample in memory — the observer's store and the analysis
+/// sink.
+class MemoryTimeseriesSink {
  public:
-  virtual ~TimeseriesSink() = default;
-  virtual void append(const SlotSample& sample) = 0;
-  /// Flushes buffered samples durably; throws std::runtime_error on
-  /// write failure. Called once at end of run.
-  virtual void close() {}
-};
-
-/// Keeps every sample in memory — the test and analysis sink.
-class MemoryTimeseriesSink : public TimeseriesSink {
- public:
-  void append(const SlotSample& sample) override {
-    samples_.push_back(sample);
-  }
+  void append(const SlotSample& sample) { samples_.push_back(sample); }
   const std::vector<SlotSample>& samples() const { return samples_; }
 
   /// Samples for one device, in time order.
@@ -60,33 +48,15 @@ class MemoryTimeseriesSink : public TimeseriesSink {
 };
 
 /// Streams samples as CSV rows (header written on construction).
-class CsvTimeseriesSink : public TimeseriesSink {
+class CsvTimeseriesSink {
  public:
   explicit CsvTimeseriesSink(const std::string& path);
-  ~CsvTimeseriesSink() override;
-  void append(const SlotSample& sample) override;
-  void close() override;
+  void append(const SlotSample& sample);
+  /// Ends the file durably; throws std::runtime_error on write failure.
+  void close() { writer_.close(); }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  util::CsvWriter writer_;
 };
-
-/// Streams samples as one JSON object per line.
-class JsonlTimeseriesSink : public TimeseriesSink {
- public:
-  explicit JsonlTimeseriesSink(const std::string& path);
-  ~JsonlTimeseriesSink() override;
-  void append(const SlotSample& sample) override;
-  void close() override;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Serializes one sample as a JSON object (exposed for testing; used by
-/// JsonlTimeseriesSink).
-void slot_sample_to_json(const SlotSample& sample, std::ostream& out);
 
 }  // namespace leime::obs

@@ -1,43 +1,17 @@
 #include "obs/trace_buffer.h"
 
-#include <algorithm>
-#include <fstream>
-#include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::obs {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-// Shortest round-trip double formatting (same contract as the metrics and
-// JSONL sinks): equal values always serialize to equal bytes.
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 constexpr double kMicros = 1e6;  // sim seconds -> trace microseconds
 
@@ -93,18 +67,6 @@ void TraceBuffer::write_chrome_trace(std::ostream& out) const {
     out << "}}";
   }
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void TraceBuffer::write_chrome_trace_file(const std::string& path) const {
-  {
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("trace: cannot open " + path);
-    write_chrome_trace(out);
-    out.flush();
-    if (!out.good()) throw std::runtime_error("trace: write error on " + path);
-  }
-  if (!util::fsync_path(path))
-    throw std::runtime_error("trace: fsync failed for " + path);
 }
 
 }  // namespace leime::obs

@@ -79,10 +79,6 @@ class TraceBuffer {
   /// name, so the file is deterministic regardless of emission order.
   void write_chrome_trace(std::ostream& out) const;
 
-  /// write_chrome_trace to `path`; flushes, fsyncs and throws
-  /// std::runtime_error on write failure.
-  void write_chrome_trace_file(const std::string& path) const;
-
  private:
   std::vector<SpanEvent> spans_;
   std::vector<MarkEvent> marks_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,7 +12,7 @@
 
 #include "obs/metrics.h"
 #include "util/clock.h"
-#include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::prof {
 
@@ -277,23 +276,6 @@ void collapse_node(std::ostream& out, const ReportNode& node,
   for (const auto& child : node.children) collapse_node(out, child, path);
 }
 
-template <typename WriteFn>
-void write_fsynced(const std::string& path, const char* what,
-                   const WriteFn& write) {
-  {
-    std::ofstream out(path);
-    if (!out)
-      throw std::runtime_error(std::string("prof: cannot open ") + path);
-    write(out);
-    out.flush();
-    if (!out.good())
-      throw std::runtime_error(std::string("prof: ") + what +
-                               " write error on " + path);
-  }
-  if (!util::fsync_path(path))
-    throw std::runtime_error("prof: fsync failed for " + path);
-}
-
 }  // namespace
 
 Report report() {
@@ -389,13 +371,13 @@ void Report::to_collapsed(std::ostream& out) const {
 }
 
 void write_chrome_trace_file(const std::string& path, const Report& rep) {
-  write_fsynced(path, "chrome trace",
-                [&](std::ostream& out) { rep.to_chrome_trace(out); });
+  util::write_file(path, "prof",
+                   [&](std::ostream& out) { rep.to_chrome_trace(out); });
 }
 
 void write_collapsed_file(const std::string& path, const Report& rep) {
-  write_fsynced(path, "collapsed stack",
-                [&](std::ostream& out) { rep.to_collapsed(out); });
+  util::write_file(path, "prof",
+                   [&](std::ostream& out) { rep.to_collapsed(out); });
 }
 
 }  // namespace leime::prof

@@ -132,9 +132,8 @@ struct Report {
 /// aggregate is only stable if instrumented code is quiescent.
 Report report();
 
-/// Writes `report.to_chrome_trace` / `to_collapsed` to `path`; flushes,
-/// fsyncs and throws std::runtime_error on write failure (same contract as
-/// the obs exporters).
+/// Writes `report.to_chrome_trace` / `to_collapsed` to `path` through
+/// util::write_file; throws std::runtime_error on write failure.
 void write_chrome_trace_file(const std::string& path, const Report& rep);
 void write_collapsed_file(const std::string& path, const Report& rep);
 

@@ -1,41 +1,18 @@
 #include "runtime/sinks.h"
 
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "prof/profiler.h"
 #include "util/csv.h"
+#include "util/output.h"
 
 namespace leime::runtime {
 
+using util::json_escape;
+using util::num;
+
 namespace {
-
-// Shortest round-trip representation so equal doubles always serialize to
-// equal bytes (the determinism contract of the JSONL sink).
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 void check_widths(const std::vector<std::string>& axis_names,
                   const std::vector<RunRecord>& records) {
@@ -43,24 +20,6 @@ void check_widths(const std::vector<std::string>& axis_names,
     if (rec.labels.size() != axis_names.size())
       throw std::invalid_argument(
           "runtime sinks: record label count does not match axis names");
-}
-
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("runtime sinks: cannot open " + path);
-  return out;
-}
-
-/// Flush + close + fsync; throws on any failure so a full disk or revoked
-/// mount is reported instead of silently truncating the output.
-void close_or_throw(std::ofstream& out, const std::string& path) {
-  out.flush();
-  const bool ok = out.good();
-  out.close();
-  if (!ok || out.fail())
-    throw std::runtime_error("runtime sinks: write error on " + path);
-  if (!util::fsync_path(path))
-    throw std::runtime_error("runtime sinks: fsync failed for " + path);
 }
 
 /// Inline metrics object for a JSONL record: counters and gauges by name,
@@ -211,32 +170,32 @@ void write_jsonl_file(const std::string& path,
                       const std::vector<RunRecord>& records,
                       const JsonlOptions& opts) {
   LEIME_PROF_SCOPE("leime.runtime.sink.jsonl");
-  auto out = open_or_throw(path);
-  write_jsonl(out, axis_names, records, opts);
-  close_or_throw(out, path);
+  util::write_file(path, "runtime sinks", [&](std::ostream& out) {
+    write_jsonl(out, axis_names, records, opts);
+  });
 }
 
 void write_chrome_trace(const std::string& path,
                         const std::vector<RunRecord>& records) {
   LEIME_PROF_SCOPE("leime.runtime.sink.chrome_trace");
-  auto out = open_or_throw(path);
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& rec : records) {
-    if (!first) out << ",";
-    first = false;
-    std::string name = "cell " + std::to_string(rec.cell_index);
-    for (const auto& label : rec.labels) name += " " + label;
-    out << "\n{\"name\":\"" << json_escape(name)
-        << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << rec.worker
-        << ",\"ts\":" << num(rec.start_s * 1e6)
-        << ",\"dur\":" << num((rec.end_s - rec.start_s) * 1e6)
-        << ",\"args\":{\"seed\":" << rec.seed
-        << ",\"replication\":" << rec.replication
-        << ",\"mean_tct\":" << num(rec.result.tct.mean) << "}}";
-  }
-  out << "\n]}\n";
-  close_or_throw(out, path);
+  util::write_file(path, "runtime sinks", [&](std::ostream& out) {
+    out << "{\"traceEvents\":[";
+    bool first = true;
+    for (const auto& rec : records) {
+      if (!first) out << ",";
+      first = false;
+      std::string name = "cell " + std::to_string(rec.cell_index);
+      for (const auto& label : rec.labels) name += " " + label;
+      out << "\n{\"name\":\"" << json_escape(name)
+          << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << rec.worker
+          << ",\"ts\":" << num(rec.start_s * 1e6)
+          << ",\"dur\":" << num((rec.end_s - rec.start_s) * 1e6)
+          << ",\"args\":{\"seed\":" << rec.seed
+          << ",\"replication\":" << rec.replication
+          << ",\"mean_tct\":" << num(rec.result.tct.mean) << "}}";
+    }
+    out << "\n]}\n";
+  });
 }
 
 obs::Snapshot merged_metrics(const std::vector<RunRecord>& records) {
@@ -249,7 +208,9 @@ obs::Snapshot merged_metrics(const std::vector<RunRecord>& records) {
 void write_metrics_prometheus(const std::string& path,
                               const std::vector<RunRecord>& records) {
   LEIME_PROF_SCOPE("leime.runtime.sink.prometheus");
-  obs::write_prometheus_file(path, merged_metrics(records));
+  const obs::Snapshot merged = merged_metrics(records);
+  util::write_file(path, "metrics",
+                   [&](std::ostream& out) { merged.to_prometheus(out); });
 }
 
 }  // namespace leime::runtime

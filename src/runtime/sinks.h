@@ -8,10 +8,11 @@
 //             loadable at chrome://tracing or ui.perfetto.dev to inspect
 //             pool utilisation and per-cell wall time.
 //
-// Durability and error reporting: every file-writing sink flushes, fsyncs
-// and throws std::runtime_error when any byte could not be written (full
-// disk, revoked mount) instead of silently dropping data; the stream
-// overload of write_jsonl throws as soon as the stream reports an error.
+// Durability and error reporting: every file-writing sink writes through
+// util::write_file (or util::CsvWriter), which flushes, closes, fsyncs and
+// throws std::runtime_error when any byte could not be written (full disk,
+// revoked mount); the stream overload of write_jsonl throws as soon as the
+// stream reports an error.
 //
 // Records whose SimResult carries a non-empty metrics snapshot (the
 // [observability] layer) get a "metrics" object in their JSONL line; for

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/output.h"
+
 namespace leime::sim {
 
 namespace {
@@ -28,14 +30,9 @@ void check_window(const FaultWindow& w, const char* what, bool allow_open) {
                                 "edge crashes (use a finite end)");
 }
 
-// Shortest round-trip double formatting, matching the JSONL sink contract.
-std::string num(double v) {
-  if (v == kInf) return "inf";
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
+// util::num, with +inf spelled the way parse_num reads it back (printf may
+// spell it "infinity").
+std::string num(double v) { return v == kInf ? "inf" : util::num(v); }
 
 double parse_num(const std::string& text, const std::string& key) {
   if (text == "inf") return kInf;

@@ -3,11 +3,7 @@
 #include <iostream>
 #include <stdexcept>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define LEIME_HAVE_FSYNC 1
-#endif
+#include "util/output.h"
 
 namespace leime::util {
 
@@ -24,23 +20,11 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-bool fsync_path(const std::string& path) noexcept {
-#ifdef LEIME_HAVE_FSYNC
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  return true;
-#endif
-}
-
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : path_(path), out_(path), width_(header.size()) {
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
+    : path_(path),
+      out_(open_file(path, "CsvWriter")),
+      width_(header.size()) {
   if (header.empty())
     throw std::invalid_argument("CsvWriter: empty header");
   write_row(header);
@@ -71,13 +55,7 @@ void CsvWriter::add_row(const std::vector<std::string>& cells) {
 void CsvWriter::close() {
   if (closed_) return;
   closed_ = true;
-  out_.flush();
-  const bool ok = out_.good();
-  out_.close();
-  if (!ok || out_.fail())
-    throw std::runtime_error("CsvWriter: write error on " + path_);
-  if (!fsync_path(path_))
-    throw std::runtime_error("CsvWriter: fsync failed for " + path_);
+  close_file(out_, path_, "CsvWriter");
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {

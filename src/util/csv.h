@@ -29,8 +29,8 @@ class CsvWriter {
   /// std::runtime_error if the underlying stream reports a write error.
   void add_row(const std::vector<std::string>& cells);
 
-  /// Flushes, fsyncs and closes the file; throws std::runtime_error if any
-  /// byte could not be durably written. Idempotent.
+  /// Ends the file durably (util::close_file: flush, close, fsync); throws
+  /// std::runtime_error if any byte could not be written. Idempotent.
   void close();
 
   std::size_t num_rows() const { return rows_written_; }
@@ -44,10 +44,6 @@ class CsvWriter {
   std::size_t rows_written_ = 0;
   bool closed_ = false;
 };
-
-/// fsyncs a (closed) file's contents to disk; false on failure. Returns
-/// true without syncing on platforms lacking POSIX fsync.
-bool fsync_path(const std::string& path) noexcept;
 
 /// Escapes a single CSV cell (exposed for testing).
 std::string csv_escape(const std::string& cell);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -268,21 +266,6 @@ TEST(Snapshot, JsonlOneObjectPerMetric) {
             std::string::npos);
   EXPECT_NE(text.find("\"type\":\"histogram\",\"count\":1"),
             std::string::npos);
-}
-
-TEST(Snapshot, PrometheusFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "obs_metrics_test.prom";
-  MetricsRegistry reg;
-  reg.counter("leime_c").inc(1);
-  write_prometheus_file(path, reg.snapshot());
-  std::ifstream in(path);
-  std::ostringstream got;
-  got << in.rdbuf();
-  EXPECT_NE(got.str().find("leime_c 1"), std::string::npos);
-  std::remove(path.c_str());
-  EXPECT_THROW(write_prometheus_file("/nonexistent-dir/x.prom",
-                                     reg.snapshot()),
-               std::runtime_error);
 }
 
 // Exposition-format escaping: HELP text must escape backslash and newline,

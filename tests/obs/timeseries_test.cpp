@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 namespace leime::obs {
@@ -44,22 +43,6 @@ TEST(MemorySink, DeviceSeriesFiltersInOrder) {
   EXPECT_TRUE(sink.device_series(7).empty());
 }
 
-TEST(SlotSampleJson, AllFieldsSerialized) {
-  SlotSample s = make_sample(2.5, 1, 3.0, 4.0);
-  s.drift = -0.25;
-  s.penalty = 1.5;
-  s.edge_up = false;
-  s.link_up = true;
-  s.edge_share_flops = 1e9;
-  std::ostringstream out;
-  slot_sample_to_json(s, out);
-  EXPECT_EQ(out.str(),
-            "{\"t\":2.5,\"device\":1,\"q\":3,\"h\":4,\"x\":0.5,"
-            "\"drift\":-0.25,\"penalty\":1.5,\"kept_arrivals\":2,"
-            "\"offloaded_arrivals\":1,\"edge_up\":false,\"link_up\":true,"
-            "\"edge_share_flops\":1000000000}");
-}
-
 TEST(CsvSink, HeaderRowsAndClose) {
   const std::string path = ::testing::TempDir() + "obs_timeseries_test.csv";
   {
@@ -75,26 +58,6 @@ TEST(CsvSink, HeaderRowsAndClose) {
   EXPECT_NE(text.find("0,0,1,2,0.5"), std::string::npos);
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
   std::remove(path.c_str());
-}
-
-TEST(JsonlSink, OneLinePerSampleAppendAfterCloseThrows) {
-  const std::string path = ::testing::TempDir() + "obs_timeseries_test.jsonl";
-  JsonlTimeseriesSink sink(path);
-  sink.append(make_sample(0.0, 0, 1.0, 2.0));
-  sink.append(make_sample(1.0, 0, 2.0, 2.0));
-  sink.close();
-  sink.close();  // idempotent
-  EXPECT_THROW(sink.append(make_sample(2.0, 0, 3.0, 2.0)),
-               std::runtime_error);
-  const auto text = read_file(path);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-  EXPECT_NE(text.find("{\"t\":0,\"device\":0,\"q\":1"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Sinks, UnwritablePathThrows) {
-  EXPECT_THROW(JsonlTimeseriesSink("/nonexistent-dir/x.jsonl"),
-               std::runtime_error);
 }
 
 }  // namespace

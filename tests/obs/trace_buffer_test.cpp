@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -139,20 +137,6 @@ TEST(TraceBuffer, EscapesJsonSpecials) {
   buf.write_chrome_trace(out);
   EXPECT_NE(out.str().find("phase\\\"q\\\""), std::string::npos);
   EXPECT_NE(out.str().find("tr\\\\ack"), std::string::npos);
-}
-
-TEST(TraceBuffer, FileWriteAndErrors) {
-  TraceBuffer buf;
-  buf.add_span(make_span(0, "p", "t", 0.0, 0.5));
-  const std::string path = ::testing::TempDir() + "obs_trace_test.json";
-  buf.write_chrome_trace_file(path);
-  std::ifstream in(path);
-  std::ostringstream got;
-  got << in.rdbuf();
-  EXPECT_NE(got.str().find("\"traceEvents\""), std::string::npos);
-  std::remove(path.c_str());
-  EXPECT_THROW(buf.write_chrome_trace_file("/nonexistent-dir/x.json"),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -5,12 +5,20 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/partition.h"
+#include "models/profile_io.h"
+#include "models/zoo.h"
 #include "obs/metrics.h"
+#include "obs/timeseries.h"
+#include "prof/profiler.h"
+#include "sim/simulation.h"
 
 namespace leime::runtime {
 namespace {
@@ -122,15 +130,105 @@ TEST(Sinks, FailingStreamReportsWriteError) {
                std::runtime_error);
 }
 
-TEST(Sinks, FileSinksThrowOnUnwritablePath) {
-  EXPECT_THROW(
-      write_jsonl_file("/nonexistent-dir/x.jsonl", kAxes, sample_records()),
-      std::runtime_error);
-  EXPECT_THROW(write_csv("/nonexistent-dir/x.csv", kAxes, sample_records()),
-               std::runtime_error);
-  EXPECT_THROW(
-      write_metrics_prometheus("/nonexistent-dir/x.prom", sample_records()),
-      std::runtime_error);
+/// Two Raspberry Pis whose SLO (50 ms) fires within a few seconds, so the
+/// lazily opened flight-recorder dump is reached too.
+sim::ScenarioConfig firing_slo_scenario() {
+  const auto profile = models::make_squeezenet();
+  sim::ScenarioConfig cfg;
+  cfg.partition = core::make_partition(profile, {4, 8, profile.num_units()});
+  sim::DeviceSpec pi;
+  pi.mean_rate = 2.0;
+  cfg.devices = {pi, pi};
+  cfg.duration = 8.0;
+  cfg.obs.slo.deadline = 0.05;
+  cfg.obs.slo.min_window_tasks = 2;
+  return cfg;
+}
+
+// Every file writer, pointed at a directory that does not exist, throws
+// std::runtime_error naming the path instead of dropping its output.
+TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
+  using Write = std::function<void(const std::string&)>;
+  using SetPath = void (*)(sim::ScenarioConfig&, const std::string&);
+  const auto run_with = [](SetPath set) -> Write {
+    return [set](const std::string& path) {
+      sim::ScenarioConfig cfg = firing_slo_scenario();
+      set(cfg, path);
+      sim::run_scenario(cfg);
+    };
+  };
+  const std::vector<std::pair<std::string, Write>> writers = {
+      {"write_csv",
+       [](const std::string& p) { write_csv(p, kAxes, sample_records()); }},
+      {"write_jsonl_file",
+       [](const std::string& p) {
+         write_jsonl_file(p, kAxes, sample_records());
+       }},
+      {"write_chrome_trace",
+       [](const std::string& p) { write_chrome_trace(p, sample_records()); }},
+      {"write_metrics_prometheus",
+       [](const std::string& p) {
+         write_metrics_prometheus(p, sample_records());
+       }},
+      {"prof_chrome_trace",
+       [](const std::string& p) { prof::write_chrome_trace_file(p, {}); }},
+      {"prof_collapsed",
+       [](const std::string& p) { prof::write_collapsed_file(p, {}); }},
+      {"save_profile_file",
+       [](const std::string& p) {
+         models::save_profile_file(models::make_squeezenet(), p);
+       }},
+      {"csv_timeseries_sink",
+       [](const std::string& p) { obs::CsvTimeseriesSink sink(p); }},
+      {"metrics_out", run_with([](sim::ScenarioConfig& c,
+                                  const std::string& p) {
+         c.obs.metrics_out = p;
+       })},
+      {"metrics_jsonl", run_with([](sim::ScenarioConfig& c,
+                                    const std::string& p) {
+         c.obs.metrics_jsonl = p;
+       })},
+      {"trace_out", run_with([](sim::ScenarioConfig& c,
+                                const std::string& p) { c.obs.trace_out = p; })},
+      {"timeseries_out", run_with([](sim::ScenarioConfig& c,
+                                     const std::string& p) {
+         c.obs.timeseries_out = p;
+       })},
+      {"attribution_out", run_with([](sim::ScenarioConfig& c,
+                                      const std::string& p) {
+         c.obs.attribution_out = p;
+       })},
+      {"calibration_out", run_with([](sim::ScenarioConfig& c,
+                                      const std::string& p) {
+         c.obs.calibration_out = p;
+       })},
+      {"alerts_out", run_with([](sim::ScenarioConfig& c,
+                                 const std::string& p) {
+         c.obs.slo.alerts_out = p;
+       })},
+      {"decisions_out", run_with([](sim::ScenarioConfig& c,
+                                    const std::string& p) {
+         c.obs.provenance.decisions_out = p;
+       })},
+      {"dump_out", run_with([](sim::ScenarioConfig& c,
+                               const std::string& p) {
+         c.obs.provenance.dump_out = p;
+       })},
+      {"task_trace", run_with([](sim::ScenarioConfig& c,
+                                 const std::string& p) {
+         c.task_trace_path = p;
+       })},
+  };
+  for (const auto& [name, write] : writers) {
+    const std::string path = "/nonexistent-dir/" + name;
+    try {
+      write(path);
+      ADD_FAILURE() << name << " did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
 }
 
 TEST(Sinks, MergedMetricsFoldsRecordsInOrder) {

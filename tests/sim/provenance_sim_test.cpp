@@ -168,8 +168,8 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
       EXPECT_GE(std::stod(regret), 0.0);
       if (field(line, "path") == "memo_hit") {
         ++memo_hits;
-        // Exact equality: the serialized numbers are shortest-round-trip,
-        // so identical text means identical doubles.
+        // Exact equality: the serialized numbers carry 17 significant
+        // digits (util::num), so identical text means identical doubles.
         EXPECT_EQ(field(line, "cost"), field(line, "oracle_cost"));
         EXPECT_EQ(regret, "0");
         EXPECT_EQ(field(line, "explored"), "0");  // replays search nothing
