@@ -186,7 +186,11 @@ models::ModelProfile resolve_model_name(const std::string& name) {
 
 IniScenario load_scenario(const util::IniFile& ini) {
   const auto& sc = ini.only("scenario");
+  sc.check_keys({"model", "policy", "duration", "warmup", "seed",
+                 "replications", "reallocation_period", "shared_uplink_mbps",
+                 "result_bytes"});
   const auto& edge = ini.only("edge");
+  edge.check_keys({"gflops", "cloud_tflops", "cloud_mbps", "cloud_latency_ms"});
 
   ScenarioConfig cfg;
   cfg.edge_flops = util::gflops(edge.get_double("gflops", 50.0));
@@ -207,13 +211,28 @@ IniScenario load_scenario(const util::IniFile& ini) {
     throw std::invalid_argument("scenario file has no [device] sections");
   double flops_sum = 0.0, bw_sum = 0.0, lat_sum = 0.0;
   for (const auto* d : devices) {
+    // DeviceSpec's defaults are the INI's, except the rate. Fleets have
+    // 10^5 sections, so each key is looked at once: parsed if known,
+    // rejected otherwise.
     DeviceSpec dev;
-    dev.flops = util::gflops(d->get_double("gflops", 0.6));
-    dev.mean_rate = d->get_double("rate", 1.0);
-    dev.uplink_bw = util::mbps(d->get_double("uplink_mbps", 10.0));
-    dev.uplink_lat = util::ms(d->get_double("uplink_latency_ms", 20.0));
-    dev.difficulty = d->get_double("difficulty", 1.0);
-    dev.device_class = d->get("class", "default");
+    dev.mean_rate = 1.0;
+    for (const auto& [key, value] : d->values) {
+      if (key == "gflops")
+        dev.flops = util::gflops(d->get_double(key));
+      else if (key == "rate")
+        dev.mean_rate = d->get_double(key);
+      else if (key == "uplink_mbps")
+        dev.uplink_bw = util::mbps(d->get_double(key));
+      else if (key == "uplink_latency_ms")
+        dev.uplink_lat = util::ms(d->get_double(key));
+      else if (key == "difficulty")
+        dev.difficulty = d->get_double(key);
+      else if (key == "class")
+        dev.device_class = value;
+      else
+        d->check_keys({"gflops", "rate", "uplink_mbps", "uplink_latency_ms",
+                       "difficulty", "class"});
+    }
     if (dev.device_class.empty())
       throw std::invalid_argument("[device] class must not be empty");
     for (char c : dev.device_class)
@@ -232,11 +251,11 @@ IniScenario load_scenario(const util::IniFile& ini) {
   if (out.replications < 1)
     throw std::invalid_argument("scenario: replications must be >= 1");
 
-  if (const auto* faults = ini.find("faults"))
+  if (const auto* faults = ini.optional("faults"))
     cfg.faults = parse_faults_section(*faults);
   cfg.faults.validate(cfg.devices.size());
 
-  if (const auto* topo = ini.find("topology"))
+  if (const auto* topo = ini.optional("topology"))
     cfg.topology = parse_topology_section(*topo);
   cfg.topology.validate(cfg.devices.size());
   if (cfg.topology.enabled() && cfg.shared_uplink_bw > 0.0)
@@ -244,21 +263,23 @@ IniScenario load_scenario(const util::IniFile& ini) {
         "scenario: [topology] and shared_uplink_mbps are mutually exclusive "
         "network modes");
 
-  if (const auto* obs = ini.find("observability"))
+  if (const auto* obs = ini.optional("observability"))
     cfg.obs = parse_observability_section(*obs);
 
-  if (const auto* slo = ini.find("slo")) cfg.obs.slo = parse_slo_section(*slo);
+  if (const auto* slo = ini.optional("slo"))
+    cfg.obs.slo = parse_slo_section(*slo);
 
-  if (const auto* prov = ini.find("provenance"))
+  if (const auto* prov = ini.optional("provenance"))
     cfg.obs.provenance = parse_provenance_section(*prov);
 
-  if (const auto* pol = ini.find("policy"))
+  if (const auto* pol = ini.optional("policy"))
     cfg.policy_core = parse_policy_section(*pol);
 
-  if (const auto* sh = ini.find("shards"))
+  if (const auto* sh = ini.optional("shards"))
     cfg.shards = parse_shards_section(*sh);
 
-  if (const auto* rt = ini.find("runtime")) {
+  if (const auto* rt = ini.optional("runtime")) {
+    rt->check_keys({"threads", "seed_mode", "jsonl", "trace", "progress"});
     out.threads = rt->get_int32("threads", 1);
     if (out.threads < 0)
       throw std::invalid_argument("runtime: threads must be >= 0");

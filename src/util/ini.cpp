@@ -152,12 +152,17 @@ std::vector<const IniSection*> IniFile::all(const std::string& name) const {
 }
 
 const IniSection& IniFile::only(const std::string& name) const {
-  const auto matches = all(name);
-  if (matches.empty())
+  const IniSection* section = optional(name);
+  if (!section)
     throw std::invalid_argument("ini: missing section [" + name + "]");
+  return *section;
+}
+
+const IniSection* IniFile::optional(const std::string& name) const {
+  const auto matches = all(name);
   if (matches.size() > 1)
     throw std::invalid_argument("ini: duplicated section [" + name + "]");
-  return *matches.front();
+  return matches.empty() ? nullptr : matches.front();
 }
 
 const IniSection* IniFile::find(const std::string& name) const {

@@ -58,6 +58,10 @@ class IniFile {
   /// The single instance of a section; throws if absent or duplicated.
   const IniSection& only(const std::string& name) const;
 
+  /// The single instance of an optional section, nullptr if absent;
+  /// throws "ini: duplicated section [<name>]" if it repeats.
+  const IniSection* optional(const std::string& name) const;
+
   /// First instance or nullptr.
   const IniSection* find(const std::string& name) const;
 
