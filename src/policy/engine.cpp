@@ -179,19 +179,6 @@ void Engine::decide_fleet(const core::OffloadPolicy& policy,
   batch_reused_.fetch_add(stats.reused, std::memory_order_relaxed);
 }
 
-Stats Stats::since(const Stats& baseline) const {
-  Stats d;
-  d.cache_hits = cache_hits - baseline.cache_hits;
-  d.cache_misses = cache_misses - baseline.cache_misses;
-  d.cache_evictions = cache_evictions - baseline.cache_evictions;
-  d.warm_starts = warm_starts - baseline.warm_starts;
-  d.warm_pruned_scans = warm_pruned_scans - baseline.warm_pruned_scans;
-  d.cold_starts = cold_starts - baseline.cold_starts;
-  d.batch_groups = batch_groups - baseline.batch_groups;
-  d.batch_reused = batch_reused - baseline.batch_reused;
-  return d;
-}
-
 Stats Engine::stats() const {
   Stats s;
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
@@ -206,12 +193,7 @@ Stats Engine::stats() const {
 }
 
 void Engine::publish_metrics(obs::MetricsRegistry& registry) const {
-  publish_metrics(registry, Stats{});
-}
-
-void Engine::publish_metrics(obs::MetricsRegistry& registry,
-                             const Stats& baseline) const {
-  const auto s = stats().since(baseline);
+  const auto s = stats();
   registry
       .counter("leime_policy_cache_hits_total",
                "exit-setting memo cache exact hits")

@@ -58,9 +58,7 @@ struct Incumbent {
 };
 
 /// Monotone counters, snapshot via Engine::stats(). The counters span the
-/// Engine's whole lifetime; per-run views subtract a baseline snapshot via
-/// since() so an engine shared across plan rows does not leak one row's
-/// work into the next row's metrics.
+/// Engine's whole lifetime (a Simulation makes a fresh engine per run).
 struct Stats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -70,11 +68,6 @@ struct Stats {
   std::uint64_t cold_starts = 0;        ///< reference B&B invocations
   std::uint64_t batch_groups = 0;       ///< distinct states solved
   std::uint64_t batch_reused = 0;       ///< devices served by a dedup
-
-  /// Field-wise difference (this − baseline): the delta accumulated since
-  /// `baseline` was snapshot. Requires baseline <= *this field-wise (both
-  /// from the same engine, baseline taken earlier).
-  Stats since(const Stats& baseline) const;
 };
 
 class Engine {
@@ -110,12 +103,6 @@ class Engine {
   /// Call after a run (the registry is not thread-safe; the Engine's own
   /// counters are atomics and may be read any time via stats()).
   void publish_metrics(obs::MetricsRegistry& registry) const;
-
-  /// Per-run variant: registers the counters with the delta accumulated
-  /// since `baseline` (a stats() snapshot taken at run start), so shared
-  /// engines publish each run's own work rather than the process lifetime.
-  void publish_metrics(obs::MetricsRegistry& registry,
-                       const Stats& baseline) const;
 
   /// Attaches a decision-provenance recorder: every subsequent
   /// exit_setting call counts a decision and, when sampled, emits one

@@ -178,15 +178,6 @@ class Simulation {
           cfg_.obs, devices_.size(), std::move(device_classes));
       obs_ = owned_obs_.get();
     }
-    if (obs_ && policy_engine_) {
-      // Exit-setting decisions the engine takes while this run's observer
-      // is live land in the same flight recorder as the offload decisions.
-      if (auto* rec = dynamic_cast<RecordingObserver*>(obs_))
-        policy_engine_->attach_provenance(rec->provenance());
-    }
-    // Per-run counter baseline: a future embedder sharing one engine
-    // across runs publishes each run's own delta, not the accumulation.
-    if (policy_engine_) policy_stats_baseline_ = policy_engine_->stats();
     if (obs_ && fabric_) {
       // Per-hop spans feed the attribution ledger. The tag packs
       // (attempt, task id); spans of paths the task has since abandoned
@@ -257,8 +248,7 @@ class Simulation {
       // layers are opted in; with the engine off no leime_policy_* names
       // register, keeping policy-off output byte-identical.
       if (policy_engine_)
-        policy_engine_->publish_metrics(owned_obs_->registry(),
-                                        policy_stats_baseline_);
+        policy_engine_->publish_metrics(owned_obs_->registry());
       out.metrics = owned_obs_->registry().snapshot();
       out.attribution = owned_obs_->attribution_summary();
       out.slo = owned_obs_->slo_summary();
@@ -1177,7 +1167,6 @@ class Simulation {
   /// engine in sharded mode, policy_engine_.get() otherwise (null = the
   /// policy's fleet form, chunk by chunk).
   policy::Engine* engine_ = nullptr;
-  policy::Stats policy_stats_baseline_;
   /// decide_all's scratch, reused across slots so decisions allocate nothing
   /// in steady state: kDecideChunk states, or the owned fleet with an engine.
   static constexpr std::size_t kDecideChunk = 64;
@@ -1319,11 +1308,8 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
 
   // One thread-safe engine shared by every shard thread (batch_eq20 only).
   std::unique_ptr<policy::Engine> engine;
-  policy::Stats engine_baseline;
-  if (cfg.policy_core.batch_eq20) {
+  if (cfg.policy_core.batch_eq20)
     engine = std::make_unique<policy::Engine>(cfg.policy_core);
-    engine_baseline = engine->stats();
-  }
 
   std::vector<std::vector<HubRequest>> outboxes(S);
   std::vector<std::unique_ptr<Simulation>> shards;
@@ -1451,7 +1437,7 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
     RecordingObserver merged(cfg.obs, n, std::move(device_classes));
     for (const auto& sh : shards)
       merged.registry().absorb(sh->obs_snapshot());
-    if (engine) engine->publish_metrics(merged.registry(), engine_baseline);
+    if (engine) engine->publish_metrics(merged.registry());
     out.metrics = merged.registry().snapshot();
     merged.export_outputs();
   }

@@ -245,60 +245,6 @@ TEST(Engine, PublishMetricsRegistersPolicyCounters) {
     EXPECT_TRUE(obs::valid_metric_name(c.name)) << c.name;
 }
 
-// Stats counters span the Engine's whole lifetime; a per-run view is the
-// field-wise delta since a baseline snapshot. This is what lets one engine
-// serve many plan rows without leaking row A's work into row B's metrics
-// (Simulation snapshots the baseline at construction).
-TEST(Engine, StatsSinceBaselineIsolatesPerRunDeltas) {
-  const auto profile = models::make_squeezenet();
-  const core::CostModel cm(profile, core::testbed_environment());
-  Config config;
-  config.memo_cache = true;
-  Engine engine(config);
-
-  // "Run 1": one miss + one hit.
-  engine.exit_setting(cm);
-  engine.exit_setting(cm);
-  const Stats baseline = engine.stats();
-  EXPECT_EQ(baseline.cache_hits, 1u);
-  EXPECT_EQ(baseline.cache_misses, 1u);
-
-  // "Run 2": three more hits on the same observation.
-  for (int i = 0; i < 3; ++i) engine.exit_setting(cm);
-  const Stats total = engine.stats();
-  EXPECT_EQ(total.cache_hits, 4u);  // lifetime counters keep growing
-
-  const Stats delta = total.since(baseline);
-  EXPECT_EQ(delta.cache_hits, 3u);
-  EXPECT_EQ(delta.cache_misses, 0u);
-  EXPECT_EQ(delta.cold_starts, 0u);
-  EXPECT_EQ(delta.cache_evictions, 0u);
-  EXPECT_EQ(delta.warm_starts, 0u);
-  EXPECT_EQ(delta.warm_pruned_scans, 0u);
-  EXPECT_EQ(delta.batch_groups, 0u);
-  EXPECT_EQ(delta.batch_reused, 0u);
-  // since() against a zero baseline is the identity.
-  const Stats identity = total.since(Stats{});
-  EXPECT_EQ(identity.cache_hits, total.cache_hits);
-  EXPECT_EQ(identity.cache_misses, total.cache_misses);
-
-  // publish_metrics(registry, baseline) exports only the delta.
-  obs::MetricsRegistry registry;
-  engine.publish_metrics(registry, baseline);
-  const auto snap = registry.snapshot();
-  const auto value_of = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& c : snap.counters)
-      if (c.name == name) return c.value;
-    ADD_FAILURE() << "missing counter " << name;
-    return 0;
-  };
-  EXPECT_EQ(value_of("leime_policy_cache_hits_total"), 3u);
-  EXPECT_EQ(value_of("leime_policy_cache_misses_total"), 0u);
-  EXPECT_EQ(value_of("leime_policy_cold_starts_total"), 0u);
-}
-
-// --- warm start preconditions -----------------------------------------
-
 TEST(WarmStart, IncumbentCompatibility) {
   EXPECT_TRUE(incumbent_compatible({1, 2, 16}, 16));
   EXPECT_TRUE(incumbent_compatible({7, 15, 16}, 16));
