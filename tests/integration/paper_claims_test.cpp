@@ -133,6 +133,37 @@ TEST(PaperClaims, StabilityUnderDynamicArrivals) {
   EXPECT_LT(leime.tct.p95, donly.tct.p95);
 }
 
+TEST(PaperClaims, FleetLeimeStabilisesWhereDeviceOnlyDiverges) {
+  // P1 with N devices sharing one edge through the eq. 27 shares: each
+  // device receives tasks faster than it can run block 1 alone, so
+  // device-only backlogs keep growing while LEIME drains them to the edge.
+  const auto profile = models::make_inception_v3();
+  core::CostModel cm(profile, core::testbed_environment());
+  const auto part = core::make_partition(
+      profile, core::branch_and_bound_exit_setting(cm).combo);
+
+  auto run = [&](const std::string& policy) {
+    auto cfg = scenario_for(part, policy);
+    cfg.devices.clear();
+    for (const double flops : {core::kRaspberryPiFlops,
+                               core::kJetsonNanoFlops,
+                               core::kRaspberryPiFlops}) {
+      sim::DeviceSpec dev;
+      dev.flops = flops;
+      dev.uplink_bw = util::mbps(10.0);
+      dev.uplink_lat = util::ms(20.0);
+      dev.mean_rate = 3.0;
+      cfg.devices.push_back(dev);
+    }
+    cfg.duration = 60.0;
+    return sim::run_scenario(cfg);
+  };
+  const auto leime = run("LEIME");
+  const auto donly = run("D-only");
+  EXPECT_LT(leime.tct.mean, 0.5 * donly.tct.mean);
+  EXPECT_LT(leime.mean_device_queue, donly.mean_device_queue);
+}
+
 }  // namespace
 }  // namespace leime
 namespace leime {

@@ -8,6 +8,7 @@
 
 #include "models/zoo.h"
 #include "runtime/sinks.h"
+#include "sim/simulation.h"
 
 namespace leime::runtime {
 namespace {
@@ -85,6 +86,23 @@ TEST(Executor, ReplicationsVaryTheOutcome) {
   // Same grid point, different seed streams -> different draws.
   EXPECT_NE(records[0].seed, records[1].seed);
   EXPECT_NE(records[0].result.tct.mean, records[1].result.tct.mean);
+}
+
+TEST(Executor, LegacySeedModeReplaysRunScenarioAtBasePlusReplication) {
+  // The pre-runtime convention (seed = base + i) stays available for
+  // replaying seed-numbered results: each replication must match a direct
+  // run_scenario at that seed.
+  ExperimentPlan plan(base_config());
+  plan.replications(3).base_seed(500).seed_mode(SeedMode::kLegacyArithmetic);
+  const auto records = Executor().run(plan);
+  ASSERT_EQ(records.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(records[i].seed, 500u + i);
+    auto cfg = base_config();
+    cfg.seed = 500 + i;
+    EXPECT_DOUBLE_EQ(records[i].result.tct.mean,
+                     sim::run_scenario(cfg).tct.mean);
+  }
 }
 
 TEST(Executor, ProgressCallbackCountsEveryCell) {
