@@ -195,14 +195,6 @@ void StageAccum::add(const StageBreakdown& s) {
   service_hist.observe(s.service);
 }
 
-void StageAccum::merge(const StageAccum& other) {
-  count += other.count;
-  wait += other.wait;
-  service += other.service;
-  wait_hist.merge(other.wait_hist);
-  service_hist.merge(other.service_hist);
-}
-
 void AttributionSummary::add(const TaskWaterfall& wf,
                              const std::string& cls_name) {
   active = true;
@@ -247,49 +239,6 @@ void AttributionSummary::add(const TaskWaterfall& wf,
     ca.max_abs_err = std::max(ca.max_abs_err, std::abs(err));
   }
   if (any) ++calibrated_tasks;
-}
-
-void AttributionSummary::merge(const AttributionSummary& other) {
-  if (!other.active) return;
-  active = true;
-  tasks += other.tasks;
-  incomplete += other.incomplete;
-  calibrated_tasks += other.calibrated_tasks;
-  for (const auto& oc : other.classes) {
-    auto cit = std::lower_bound(
-        classes.begin(), classes.end(), oc.name,
-        [](const ClassAccum& c, const std::string& n) { return c.name < n; });
-    if (cit == classes.end() || cit->name != oc.name) {
-      cit = classes.insert(cit, ClassAccum{});
-      cit->name = oc.name;
-    }
-    cit->tasks += oc.tasks;
-    for (int i = 0; i < kAttrStageCount; ++i)
-      cit->stages[static_cast<std::size_t>(i)].merge(
-          oc.stages[static_cast<std::size_t>(i)]);
-    cit->e2e.merge(oc.e2e);
-    cit->stall.merge(oc.stall);
-  }
-  for (const auto& op : other.ports) {
-    auto pit = std::lower_bound(
-        ports.begin(), ports.end(), op.first,
-        [](const std::pair<std::string, PortAccum>& p, const std::string& n) {
-          return p.first < n;
-        });
-    if (pit == ports.end() || pit->first != op.first)
-      pit = ports.insert(pit, {op.first, PortAccum{}});
-    pit->second.spans += op.second.spans;
-    pit->second.wait += op.second.wait;
-    pit->second.service += op.second.service;
-  }
-  for (int ci = 0; ci < kCalibComponentCount; ++ci) {
-    auto& ca = calibration[static_cast<std::size_t>(ci)];
-    const auto& co = other.calibration[static_cast<std::size_t>(ci)];
-    ca.count += co.count;
-    ca.err_sum += co.err_sum;
-    ca.abs_err_sum += co.abs_err_sum;
-    ca.max_abs_err = std::max(ca.max_abs_err, co.max_abs_err);
-  }
 }
 
 void AttributionSummary::to_json(std::ostream& out) const {

@@ -22,7 +22,7 @@
 //
 // This header is sim-free on purpose: everything is plain doubles/strings so
 // the ledger can be unit-tested with synthetic spans and the summary can
-// ride inside SimResult/RunRecord and merge in plan order.
+// ride inside SimResult/RunRecord.
 #pragma once
 
 #include <array>
@@ -202,13 +202,10 @@ struct StageAccum {
   Histogram service_hist{attr_latency_buckets()};
 
   void add(const StageBreakdown& s);
-  void merge(const StageAccum& other);
 };
 
-/// Plan-order-mergeable run summary: per-device-class waterfalls, per-port
-/// hop totals and per-component calibration errors. Rides on SimResult /
-/// RunRecord; `merge` is deterministic for a fixed merge order (the runtime
-/// merges cells in plan order, like obs::Snapshot).
+/// One run's summary: per-device-class waterfalls, per-port hop totals and
+/// per-component calibration errors. Rides on SimResult / RunRecord.
 struct AttributionSummary {
   bool active = false;       ///< attribution was enabled for the run
   std::uint64_t tasks = 0;   ///< waterfalls assembled (completed tasks)
@@ -239,14 +236,8 @@ struct AttributionSummary {
   std::array<CalibrationAccum, kCalibComponentCount> calibration{};
   std::uint64_t calibrated_tasks = 0;
 
-  bool empty() const { return !active; }
-
-  /// Folds one waterfall in. `cls_name` must be the class's stable name —
-  /// the summary keys classes by name so shards with different class
-  /// tables still merge correctly.
+  /// Folds one waterfall in, keyed by the class's stable name.
   void add(const TaskWaterfall& wf, const std::string& cls_name);
-
-  void merge(const AttributionSummary& other);
 
   /// One JSON object (single line, no trailing newline): deterministic
   /// key order, util::num doubles — the representation sinks embed in

@@ -65,39 +65,6 @@ const char* decision_path_name(DecisionPath path) {
 
 HistogramOptions regret_buckets() { return {1e-9, 1e3, 48}; }
 
-void ProvenanceSummary::merge(const ProvenanceSummary& other) {
-  if (!other.active) return;
-  active = true;
-  decisions += other.decisions;
-  sampled += other.sampled;
-  oracle_runs += other.oracle_runs;
-  ring_evictions += other.ring_evictions;
-  dumps += other.dumps;
-  for (int k = 0; k < kDecisionKindCount; ++k) {
-    kinds[static_cast<std::size_t>(k)] +=
-        other.kinds[static_cast<std::size_t>(k)];
-    kind_regret[static_cast<std::size_t>(k)].merge(
-        other.kind_regret[static_cast<std::size_t>(k)]);
-  }
-  for (int p = 0; p < kDecisionPathCount; ++p)
-    paths[static_cast<std::size_t>(p)] +=
-        other.paths[static_cast<std::size_t>(p)];
-  for (const auto& oc : other.classes) {
-    auto it = std::lower_bound(
-        classes.begin(), classes.end(), oc.name,
-        [](const ClassAccum& c, const std::string& n) { return c.name < n; });
-    if (it == classes.end() || it->name != oc.name) {
-      it = classes.insert(it, ClassAccum{});
-      it->name = oc.name;
-    }
-    it->sampled += oc.sampled;
-    it->oracle_runs += oc.oracle_runs;
-    it->regret_sum += oc.regret_sum;
-    it->max_regret = std::max(it->max_regret, oc.max_regret);
-    it->regret.merge(oc.regret);
-  }
-}
-
 void ProvenanceSummary::to_json(std::ostream& out) const {
   out << "{\"decisions\":" << decisions << ",\"sampled\":" << sampled
       << ",\"oracle_runs\":" << oracle_runs

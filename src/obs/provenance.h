@@ -10,8 +10,8 @@
 // (environment snapshot, fast path taken, work explored vs pruned, chosen
 // action with its predicted cost, runner-up margin), a mutex-guarded
 // recorder that keeps the last `ring_capacity` records — the flight
-// recorder an SLO fire dumps — and a plan-order-mergeable summary with
-// per-class log-bucket regret histograms that rides SimResult/RunRecord.
+// recorder an SLO fire dumps — and a run summary with per-class log-bucket
+// regret histograms that rides SimResult/RunRecord.
 //
 // Regret semantics: regret = chosen cost − oracle cost on the *decision
 // objective* (expected TCT for exit settings, eq. 19 drift-plus-penalty for
@@ -24,7 +24,7 @@
 //
 // Everything here is plain ints/doubles/strings on purpose (no core::
 // types): the recorder can be unit-tested synthetically and the summary can
-// merge inside the runtime without dragging the cost model along. The
+// ride inside the runtime without dragging the cost model along. The
 // core-facing emission sites live in policy/engine.cpp (exit settings) and
 // sim/observer.cpp (offload slots).
 #pragma once
@@ -128,7 +128,7 @@ struct DecisionRecord {
   double regret = 0.0;       ///< cost − oracle_cost (≥ 0) when oracle
 };
 
-/// Plan-order-mergeable run summary riding SimResult/RunRecord.
+/// One run's provenance summary, riding SimResult/RunRecord.
 struct ProvenanceSummary {
   bool active = false;
   std::uint64_t decisions = 0;       ///< every decision seen (incl. unsampled)
@@ -152,12 +152,6 @@ struct ProvenanceSummary {
     Histogram regret{regret_buckets()};
   };
   std::vector<ClassAccum> classes;  ///< sorted by class name
-
-  bool empty() const { return !active; }
-
-  /// Deterministic for a fixed merge order (the runtime merges cells in
-  /// plan order, like obs::Snapshot / AttributionSummary).
-  void merge(const ProvenanceSummary& other);
 
   /// One JSON object (single line, no trailing newline): deterministic key
   /// order, util::num doubles.

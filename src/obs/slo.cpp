@@ -39,27 +39,6 @@ void SloConfig::validate() const {
     throw std::invalid_argument("slo: burn_threshold must be positive");
 }
 
-void SloSummary::merge(const SloSummary& other) {
-  if (!other.active) return;
-  active = true;
-  if (deadline == 0.0) deadline = other.deadline;
-  for (const auto& oc : other.classes) {
-    auto it = std::lower_bound(
-        classes.begin(), classes.end(), oc.name,
-        [](const ClassStats& c, const std::string& n) { return c.name < n; });
-    if (it == classes.end() || it->name != oc.name) {
-      it = classes.insert(it, ClassStats{});
-      it->name = oc.name;
-    }
-    it->completions += oc.completions;
-    it->misses += oc.misses;
-    it->alerts_fired += oc.alerts_fired;
-    it->alerts_cleared += oc.alerts_cleared;
-    it->max_burn = std::max(it->max_burn, oc.max_burn);
-  }
-  alerts.insert(alerts.end(), other.alerts.begin(), other.alerts.end());
-}
-
 void SloSummary::to_json(std::ostream& out) const {
   out << "{\"deadline\":" << num(deadline) << ",\"classes\":[";
   bool first = true;

@@ -47,7 +47,7 @@ struct SloAlert {
   std::uint64_t window_tasks = 0;
 };
 
-/// Plan-order-mergeable run summary for SimResult / RunRecord.
+/// One run's SLO summary for SimResult / RunRecord.
 struct SloSummary {
   bool active = false;
   double deadline = 0.0;
@@ -62,8 +62,7 @@ struct SloSummary {
   };
   std::vector<ClassStats> classes;  ///< sorted by class name
 
-  /// The alert stream, in completion order; merge appends in call order so
-  /// a plan-order merge is deterministic across thread counts.
+  /// The alert stream, in completion order.
   struct Alert {
     double t = 0.0;
     std::string cls;
@@ -73,9 +72,6 @@ struct SloSummary {
     std::uint64_t window_tasks = 0;
   };
   std::vector<Alert> alerts;
-
-  bool empty() const { return !active; }
-  void merge(const SloSummary& other);
 
   /// One JSON object (single line, no trailing newline) for runtime sinks.
   void to_json(std::ostream& out) const;

@@ -23,9 +23,10 @@ enum class SeedMode {
   /// seed = Rng::derive_seed(base_seed, cell_index): splitmix64-mixed
   /// substreams, collision-free across cells and neighbouring bases.
   kSplit,
-  /// seed = base_seed + replication: the pre-runtime `sim::run_replicated`
-  /// convention, kept for replaying seed-numbered results from existing
-  /// benches. Cells that share a replication number share a seed.
+  /// seed = base_seed + replication: the pre-runtime convention, kept for
+  /// replaying seed-numbered results from existing benches (`[runtime]
+  /// seed_mode = legacy`). Cells that share a replication number share a
+  /// seed.
   kLegacyArithmetic,
 };
 

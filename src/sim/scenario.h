@@ -215,7 +215,7 @@ struct SimResult {
 
   /// Latency-attribution summary of the run's owned RecordingObserver;
   /// `active` is false (and the JSONL sink omits the block) unless
-  /// ObsConfig::attribution_enabled(). Merges in plan order across cells.
+  /// ObsConfig::attribution_enabled().
   obs::AttributionSummary attribution;
 
   /// SLO monitor summary (deadline miss-rate / burn-rate alerting);

@@ -230,47 +230,39 @@ TaskWaterfall simple_waterfall(std::uint64_t task, double wait,
   return wf;
 }
 
-TEST(AttributionSummary, AddAndMergeAreConsistent) {
-  // Two shards fold disjoint task sets; merging them must equal one summary
-  // that saw everything (the plan-order merge contract).
-  AttributionSummary a, b, all;
-  const auto w1 = simple_waterfall(1, 0.1, 0.4);
-  const auto w2 = simple_waterfall(2, 0.3, 0.2);
-  auto w3 = make_calibrated_waterfall(true);
-  a.add(w1, "sensor");
-  b.add(w2, "sensor");
-  b.add(w3, "camera");
-  all.add(w1, "sensor");
-  all.add(w2, "sensor");
-  all.add(w3, "camera");
+TEST(AttributionSummary, AddSortsClassesAndSumsStagesAndPorts) {
+  AttributionSummary all;
+  all.add(simple_waterfall(1, 0.1, 0.4), "sensor");
+  all.add(simple_waterfall(2, 0.3, 0.2), "sensor");
+  all.add(make_calibrated_waterfall(true), "camera");
 
-  AttributionSummary merged = a;
-  merged.merge(b);
-  EXPECT_TRUE(merged.active);
-  EXPECT_EQ(merged.tasks, all.tasks);
-  EXPECT_EQ(merged.calibrated_tasks, all.calibrated_tasks);
-  ASSERT_EQ(merged.classes.size(), 2u);
-  EXPECT_EQ(merged.classes[0].name, "camera");  // sorted by name
-  EXPECT_EQ(merged.classes[1].name, "sensor");
-  EXPECT_EQ(merged.classes[1].tasks, 2u);
+  EXPECT_TRUE(all.active);
+  EXPECT_EQ(all.tasks, 3u);
+  EXPECT_EQ(all.calibrated_tasks, 1u);
+  ASSERT_EQ(all.classes.size(), 2u);
+  EXPECT_EQ(all.classes[0].name, "camera");  // sorted by name
+  EXPECT_EQ(all.classes[1].name, "sensor");
+  EXPECT_EQ(all.classes[1].tasks, 2u);
   const auto up_idx = static_cast<std::size_t>(AttrStage::kUplink);
-  EXPECT_NEAR(merged.classes[1].stages[up_idx].wait, 0.4, 1e-12);
-  EXPECT_NEAR(merged.classes[1].stages[up_idx].service, 0.6, 1e-12);
-  ASSERT_EQ(merged.ports.size(), 1u);
-  EXPECT_EQ(merged.ports[0].first, "ap0_edge0");
-  EXPECT_EQ(merged.ports[0].second.spans, 2u);
-  EXPECT_NEAR(merged.ports[0].second.wait, 0.4, 1e-12);
+  EXPECT_NEAR(all.classes[1].stages[up_idx].wait, 0.4, 1e-12);
+  EXPECT_NEAR(all.classes[1].stages[up_idx].service, 0.6, 1e-12);
+  ASSERT_EQ(all.ports.size(), 1u);
+  EXPECT_EQ(all.ports[0].first, "ap0_edge0");
+  EXPECT_EQ(all.ports[0].second.spans, 2u);
+  EXPECT_NEAR(all.ports[0].second.wait, 0.4, 1e-12);
 
-  // The JSON rendering of merged and all-at-once summaries is identical.
-  std::ostringstream merged_json, all_json;
-  merged.to_json(merged_json);
-  all.to_json(all_json);
-  EXPECT_EQ(merged_json.str(), all_json.str());
-
-  // Merging an inactive summary is a no-op.
-  AttributionSummary inactive;
-  merged.merge(inactive);
-  EXPECT_EQ(merged.tasks, all.tasks);
+  // The JSON rendering keeps the same class and port order.
+  std::ostringstream json;
+  all.to_json(json);
+  const std::string text = json.str();
+  EXPECT_NE(text.find("\"tasks\":3,"), std::string::npos);
+  const auto camera = text.find("{\"name\":\"camera\"");
+  const auto sensor = text.find("{\"name\":\"sensor\",\"tasks\":2,");
+  ASSERT_NE(camera, std::string::npos);
+  ASSERT_NE(sensor, std::string::npos);
+  EXPECT_LT(camera, sensor);
+  EXPECT_NE(text.find("\"ports\":[{\"port\":\"ap0_edge0\",\"spans\":2,"),
+            std::string::npos);
 }
 
 TEST(AttributionSummary, JsonShape) {

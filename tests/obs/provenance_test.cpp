@@ -158,64 +158,14 @@ TEST(ProvenanceRecorder, SummaryAccountsKindsPathsAndPerClassRegret) {
       sum.kind_regret[static_cast<std::size_t>(DecisionKind::kOffload)];
   EXPECT_EQ(offload_hist.stats().count(), 3u);
   EXPECT_DOUBLE_EQ(offload_hist.stats().sum(), 1.5);
-}
 
-TEST(ProvenanceSummary, MergeIsPlanOrderDeterministicAndFoldsClasses) {
-  const auto segment = [](const std::string& cls, double regret,
-                          std::uint64_t unsampled) {
-    ProvenanceConfig cfg;
-    cfg.sample_n = 1;
-    cfg.oracle_sample_n = 1;
-    ProvenanceRecorder rec(cfg);
-    std::uint64_t seq = 0;
-    bool oracle = false;
-    rec.begin_decision(&seq, &oracle);
-    auto r = make_record(seq, DecisionKind::kOffload, DecisionPath::kDirect,
-                         cls, 1.0 + regret);
-    r.oracle = true;
-    r.oracle_cost = 1.0;
-    r.regret = regret;
-    rec.record(std::move(r));
-    // Pad the ordinal space so `decisions` and `sampled` diverge.
-    ProvenanceSummary s = rec.summary();
-    s.decisions += unsampled;
-    return s;
-  };
-
-  ProvenanceSummary merged = segment("gate", 0.25, 4);
-  merged.merge(segment("yard", 0.5, 0));
-  merged.merge(segment("gate", 0.75, 1));
-  EXPECT_TRUE(merged.active);
-  EXPECT_EQ(merged.decisions, 8u);
-  EXPECT_EQ(merged.sampled, 3u);
-  EXPECT_EQ(merged.oracle_runs, 3u);
-  ASSERT_EQ(merged.classes.size(), 2u);
-  EXPECT_EQ(merged.classes[0].name, "gate");
-  EXPECT_DOUBLE_EQ(merged.classes[0].regret_sum, 1.0);
-  EXPECT_DOUBLE_EQ(merged.classes[0].max_regret, 0.75);
-  EXPECT_EQ(merged.classes[1].name, "yard");
-
-  // Same segments, same order -> byte-identical JSON (what makes the
-  // runtime JSONL invariant across executor thread counts).
-  ProvenanceSummary again = segment("gate", 0.25, 4);
-  again.merge(segment("yard", 0.5, 0));
-  again.merge(segment("gate", 0.75, 1));
-  std::ostringstream a, b;
-  merged.to_json(a);
-  again.to_json(b);
-  EXPECT_EQ(a.str(), b.str());
-  EXPECT_EQ(a.str().find('\n'), std::string::npos);
-  EXPECT_NE(a.str().find("\"decisions\":8"), std::string::npos);
-  EXPECT_NE(a.str().find("\"paths\":{"), std::string::npos);
-
-  // Inactive summaries are merge no-ops (the disabled-run contract).
-  ProvenanceSummary inactive;
-  merged.merge(inactive);
-  EXPECT_EQ(merged.sampled, 3u);
-  ProvenanceSummary target;
-  target.merge(merged);
-  EXPECT_TRUE(target.active);
-  EXPECT_EQ(target.sampled, 3u);
+  // One JSON line for the runtime JSONL.
+  std::ostringstream json;
+  sum.to_json(json);
+  EXPECT_EQ(json.str().find('\n'), std::string::npos);
+  EXPECT_NE(json.str().find("\"decisions\":4,\"sampled\":4"),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"paths\":{"), std::string::npos);
 }
 
 TEST(ProvenanceJsonl, DecisionLinesAreExactWithNullOptionals) {

@@ -150,28 +150,6 @@ TEST(SloMonitor, SummaryTracksMaxBurnAndSkipsIdleClasses) {
   EXPECT_EQ(u.classes[0].name, "class1");
 }
 
-TEST(SloSummary, MergeFoldsClassesAndAppendsAlerts) {
-  SloMonitor a(tight_config(), 1), b(tight_config(), 1);
-  for (int i = 0; i < 4; ++i) a.on_completion(0, 1.0 + 0.1 * i, 5.0);
-  b.on_completion(0, 2.0, 0.5);
-  SloSummary merged = a.summary({"sensor"});
-  merged.merge(b.summary({"sensor"}));
-  ASSERT_EQ(merged.classes.size(), 1u);
-  EXPECT_EQ(merged.classes[0].completions, 5u);
-  EXPECT_EQ(merged.classes[0].misses, 4u);
-  EXPECT_EQ(merged.classes[0].alerts_fired, 1u);
-  EXPECT_EQ(merged.alerts.size(), 1u);
-
-  // Inactive summaries are no-ops on merge (the disabled-run contract).
-  SloSummary inactive;
-  merged.merge(inactive);
-  EXPECT_EQ(merged.classes[0].completions, 5u);
-  SloSummary target;
-  target.merge(merged);
-  EXPECT_TRUE(target.active);
-  EXPECT_EQ(target.classes[0].completions, 5u);
-}
-
 TEST(SloMonitor, AlertJsonlFormatIsExactAndDeterministic) {
   const auto drive = [](SloMonitor& mon) {
     for (int i = 0; i < 4; ++i) mon.on_completion(0, 1.0 + 0.25 * i, 5.0);
@@ -266,38 +244,6 @@ TEST(SloMonitor, EvictionAtWindowBoundaryDrivesClear) {
   EXPECT_FALSE(cleared->fire);
   EXPECT_DOUBLE_EQ(cleared->miss_rate, 0.0);
   EXPECT_FALSE(mon.alerting(0));
-}
-
-TEST(SloSummary, MergePreservesPlanOrderAlertSequence) {
-  // Replication summaries merge in plan order; the merged alert list must
-  // be segment-concatenation (a's alerts, then b's, then c's) with each
-  // segment's internal fire/clear order intact — that is what makes the
-  // runtime JSONL byte-stable across thread counts.
-  const auto burst = [](double t0) {
-    SloMonitor mon(tight_config(), 1);
-    for (int i = 0; i < 4; ++i)
-      mon.on_completion(0, t0 + 0.25 * static_cast<double>(i), 5.0);  // fire
-    for (int i = 0; i < 30 && mon.alerting(0); ++i)
-      mon.on_completion(0, t0 + 1.0 + 0.25 * static_cast<double>(i), 0.5);
-    return mon.summary({"sensor"});
-  };
-  // Deliberately non-monotone t0 across segments: order comes from the
-  // merge call sequence, never from re-sorting by time.
-  SloSummary merged = burst(100.0);
-  merged.merge(burst(1.0));
-  merged.merge(burst(50.0));
-  ASSERT_EQ(merged.alerts.size(), 6u);
-  const double expected_t0[] = {100.0, 1.0, 50.0};
-  for (int seg = 0; seg < 3; ++seg) {
-    const auto& fire = merged.alerts[static_cast<std::size_t>(2 * seg)];
-    const auto& clear = merged.alerts[static_cast<std::size_t>(2 * seg + 1)];
-    EXPECT_TRUE(fire.fire);
-    EXPECT_FALSE(clear.fire);
-    EXPECT_DOUBLE_EQ(fire.t, expected_t0[seg] + 0.75);
-    EXPECT_GT(clear.t, fire.t);
-  }
-  ASSERT_EQ(merged.classes.size(), 1u);
-  EXPECT_EQ(merged.classes[0].alerts_fired, 3u);
 }
 
 }  // namespace

@@ -160,10 +160,10 @@ TEST(Golden, ShardedExecutionRendersIdenticalBytes) {
       << "sharding nested under executor threads changed the bytes";
 }
 
-// Attribution + SLO ride the same plan-order merge as the metrics
-// snapshot, so their JSONL blocks must be byte-identical at any executor
-// thread count — and absent entirely when the pillars are off (the golden
-// snapshot above pins the disabled bytes).
+// Attribution + SLO summaries ride each cell's record, so their JSONL
+// blocks must be byte-identical at any executor thread count — and absent
+// entirely when the pillars are off (the golden snapshot above pins the
+// disabled bytes).
 TEST(Golden, AttributionAndSloBlocksAreThreadCountInvariant) {
   sim::ScenarioConfig obs_on = golden_base();
   obs_on.obs.attribution = true;

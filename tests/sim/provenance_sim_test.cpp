@@ -184,7 +184,7 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
 
 // The runtime contract: per-cell provenance summaries ride RunRecord and
 // the JSONL sink renders identical bytes for any executor thread count
-// (plan-order merge, no wall-clock in the deterministic stream).
+// (records in plan order, no wall-clock in the deterministic stream).
 TEST(ProvenanceSim, RuntimeJsonlIsThreadCountInvariant) {
   auto cfg = small_fleet(1);
   cfg.duration = 8.0;
