@@ -219,14 +219,6 @@ double Fabric::route_backlog_bytes(NodeId src, NodeId dst, double t) const {
   return backlog;
 }
 
-bool Fabric::route_up_at(NodeId src, NodeId dst, double t) const {
-  const auto& route = const_cast<Fabric*>(this)->resolve(src, dst);
-  for (int i = 0; i < route.count; ++i)
-    if (!route.hops[static_cast<std::size_t>(i)].port->link->up_at(t))
-      return false;
-  return true;
-}
-
 double Fabric::max_backlog_bytes() const {
   double peak = 0.0;
   for (const Router& r : routers_)

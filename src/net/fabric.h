@@ -105,9 +105,6 @@ class Fabric {
   double route_latency_at(NodeId src, NodeId dst, double t) const;
   double route_backlog_bytes(NodeId src, NodeId dst, double t) const;
 
-  /// True iff every hop of src -> dst is outside an outage window at t.
-  bool route_up_at(NodeId src, NodeId dst, double t) const;
-
   struct Stats {
     std::uint64_t transfers = 0;  ///< flows started
     std::uint64_t delivered = 0;  ///< flows that reached dst

@@ -6,13 +6,6 @@ namespace leime::obs {
 
 using util::num;
 
-std::vector<SlotSample> MemoryTimeseriesSink::device_series(int device) const {
-  std::vector<SlotSample> out;
-  for (const auto& s : samples_)
-    if (s.device == device) out.push_back(s);
-  return out;
-}
-
 CsvTimeseriesSink::CsvTimeseriesSink(const std::string& path)
     : writer_(path, {"t", "device", "q", "h", "x", "drift", "penalty",
                      "kept_arrivals", "offloaded_arrivals", "edge_up",

@@ -40,9 +40,6 @@ class MemoryTimeseriesSink {
   void append(const SlotSample& sample) { samples_.push_back(sample); }
   const std::vector<SlotSample>& samples() const { return samples_; }
 
-  /// Samples for one device, in time order.
-  std::vector<SlotSample> device_series(int device) const;
-
  private:
   std::vector<SlotSample> samples_;
 };

@@ -97,16 +97,12 @@ std::vector<RunRecord> Executor::run(std::vector<Cell> cells) const {
       records[i] = std::move(rec);
 
       const std::size_t finished = done.fetch_add(1) + 1;
-      if (opts_.on_cell_done || opts_.progress) {
+      if (opts_.progress) {
         std::lock_guard<std::mutex> lock(report_mu);
-        if (opts_.on_cell_done) opts_.on_cell_done(finished, total);
-        if (opts_.progress) {
-          std::cerr << "\r[runtime] " << finished << "/" << total
-                    << " cells, " << threads << " thread"
-                    << (threads == 1 ? "" : "s") << ", "
-                    << util::fmt(seconds_since(t0), 1) << " s" << std::flush;
-          if (finished == total) std::cerr << "\n";
-        }
+        std::cerr << "\r[runtime] " << finished << "/" << total << " cells, "
+                  << threads << " thread" << (threads == 1 ? "" : "s") << ", "
+                  << util::fmt(seconds_since(t0), 1) << " s" << std::flush;
+        if (finished == total) std::cerr << "\n";
       }
     }
   };

@@ -6,7 +6,7 @@
 // only the telemetry fields (start/end/worker) reflect the schedule.
 #pragma once
 
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -21,10 +21,6 @@ struct ExecutorOptions {
 
   /// Live `[runtime] done/total` progress line on stderr.
   bool progress = false;
-
-  /// Called after each cell completes (under an internal lock, so the
-  /// callback needs no synchronisation of its own).
-  std::function<void(std::size_t done, std::size_t total)> on_cell_done;
 
   /// Caller-owned registry for pool telemetry (wall-clock cell timers,
   /// error counts). Each worker updates a private shard; shards merge into

@@ -217,8 +217,6 @@ class RecordingObserver : public Observer {
   }
   /// Sorted unique device-class names; TaskWaterfall::cls indexes this.
   const std::vector<std::string>& class_names() const { return class_names_; }
-  /// The live SLO monitor, or nullptr when the [slo] block is absent.
-  const obs::SloMonitor* slo_monitor() const { return slo_.get(); }
   /// Frozen SLO stats + alert stream (inactive struct when SLO is off).
   obs::SloSummary slo_summary() const;
   /// The flight recorder, or nullptr when [provenance] is off. Attach it

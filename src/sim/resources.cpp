@@ -20,10 +20,6 @@ void FifoProcessor::set_flops(double flops) {
   flops_ = flops;
 }
 
-int FifoProcessor::pending_total() const {
-  return pending_[0] + pending_[1] + pending_[2];
-}
-
 void FifoProcessor::restart(double now) {
   busy_until_ = now;
   pending_[0] = pending_[1] = pending_[2] = 0;
@@ -36,7 +32,6 @@ void FifoProcessor::submit(double work, JobClass cls, Completion done) {
   const double start = std::max(queue_->now(), busy_until_);
   const double finish = start + work / flops_;
   busy_until_ = finish;
-  total_work_ += work;
   ++pending_[static_cast<int>(cls)];
   queue_->schedule(finish, EventKind::kComputeDone,
                    [this, cls, done = std::move(done), finish,
@@ -146,7 +141,6 @@ void Link::transfer(double bytes, double extra_latency, Completion done) {
     t = down_end;
   }
   busy_until_ = t + remaining;
-  total_bytes_ += bytes;
   const double delivery = busy_until_ + latency_at(start) + extra_latency;
   ++pending_;
   queue_->schedule(delivery, EventKind::kTransferDone,

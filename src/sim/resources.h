@@ -43,7 +43,6 @@ class FifoProcessor {
 
   /// Jobs enqueued but not yet completed, by class.
   int pending(JobClass cls) const { return pending_[static_cast<int>(cls)]; }
-  int pending_total() const;
 
   double flops() const { return flops_; }
 
@@ -60,9 +59,6 @@ class FifoProcessor {
   /// post-crash backlog observation can never go negative.
   void restart(double now);
 
-  /// Total FLOPs ever submitted (for utilisation accounting).
-  double total_work() const { return total_work_; }
-
   /// Time the processor will next be idle (>= now).
   double busy_until() const { return busy_until_; }
 
@@ -73,7 +69,6 @@ class FifoProcessor {
   std::string name_;
   double flops_;
   double busy_until_ = 0.0;
-  double total_work_ = 0.0;
   int pending_[3] = {0, 0, 0};
   /// Bumped by restart(); completions from an earlier epoch skip the
   /// pending_ bookkeeping (the counters were already zeroed).
@@ -122,7 +117,6 @@ class Link {
 
   double bandwidth_at(double t) const;
   double latency_at(double t) const;
-  double total_bytes() const { return total_bytes_; }
   const std::string& name() const { return name_; }
 
   /// When the serializer frees up for a transfer enqueued now (== the
@@ -139,7 +133,6 @@ class Link {
   std::optional<util::PiecewiseConstant> lat_trace_;
   std::vector<std::pair<double, double>> outages_;
   double busy_until_ = 0.0;
-  double total_bytes_ = 0.0;
   int pending_ = 0;
 };
 

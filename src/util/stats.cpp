@@ -55,12 +55,6 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-double mean_of(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.mean();
-}
-
 double median_of(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return percentile(values, 0.5);

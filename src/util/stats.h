@@ -56,9 +56,6 @@ class RunningStats {
 /// The input is copied and sorted internally.
 double percentile(std::vector<double> values, double q);
 
-/// Convenience batch mean; 0 on empty input.
-double mean_of(const std::vector<double>& values);
-
 /// Five-number-ish summary of a sample.
 struct Summary {
   std::size_t count = 0;

@@ -59,10 +59,4 @@ std::string fmt(double value, int precision) {
   return os.str();
 }
 
-std::string fmt_sci(double value, int precision) {
-  std::ostringstream os;
-  os << std::scientific << std::setprecision(precision) << value;
-  return os.str();
-}
-
 }  // namespace leime::util

@@ -40,7 +40,4 @@ class TablePrinter {
 /// Formats a double with the given precision (fixed notation).
 std::string fmt(double value, int precision = 3);
 
-/// Formats a double in engineering style, e.g. "1.25e+09".
-std::string fmt_sci(double value, int precision = 2);
-
 }  // namespace leime::util

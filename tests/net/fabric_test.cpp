@@ -128,7 +128,7 @@ TEST(Fabric, DuplexPortsCarryReturnTraffic) {
   EXPECT_DOUBLE_EQ(t, 2.0);  // backhaul mirror + wireless mirror, 1s each
 }
 
-TEST(Fabric, RouteAggregatesAndOutageComposition) {
+TEST(Fabric, RouteAggregatesAndLinkLookup) {
   sim::EventQueue q;
   Topology topo(1, 1, 1);
   topo.attach_device(0, 0, {100.0, 0.5});
@@ -145,12 +145,7 @@ TEST(Fabric, RouteAggregatesAndOutageComposition) {
   fabric.transfer(dev, cloud, 100.0, [](double) {});
   EXPECT_DOUBLE_EQ(fabric.route_backlog_bytes(dev, cloud, 0.0), 100.0);
 
-  sim::Link* wireless = fabric.link(dev, NodeId::ap(0));
-  ASSERT_NE(wireless, nullptr);
-  wireless->set_outage_windows({{10.0, 20.0}});
-  EXPECT_TRUE(fabric.route_up_at(dev, cloud, 5.0));
-  EXPECT_FALSE(fabric.route_up_at(dev, cloud, 15.0));
-  EXPECT_TRUE(fabric.route_up_at(dev, cloud, 20.0));
+  EXPECT_NE(fabric.link(dev, NodeId::ap(0)), nullptr);
   EXPECT_EQ(fabric.link(NodeId::ap(0), dev), nullptr);  // no duplex mirror
 }
 

@@ -29,18 +29,15 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-TEST(MemorySink, DeviceSeriesFiltersInOrder) {
+TEST(MemorySink, KeepsSamplesInAppendOrder) {
   MemoryTimeseriesSink sink;
   sink.append(make_sample(0.0, 0, 1.0, 0.0));
   sink.append(make_sample(0.0, 1, 5.0, 0.0));
   sink.append(make_sample(1.0, 0, 2.0, 0.0));
-  sink.append(make_sample(1.0, 1, 6.0, 0.0));
-  EXPECT_EQ(sink.samples().size(), 4u);
-  const auto d0 = sink.device_series(0);
-  ASSERT_EQ(d0.size(), 2u);
-  EXPECT_DOUBLE_EQ(d0[0].q, 1.0);
-  EXPECT_DOUBLE_EQ(d0[1].q, 2.0);
-  EXPECT_TRUE(sink.device_series(7).empty());
+  ASSERT_EQ(sink.samples().size(), 3u);
+  EXPECT_DOUBLE_EQ(sink.samples()[0].q, 1.0);
+  EXPECT_EQ(sink.samples()[1].device, 1);
+  EXPECT_DOUBLE_EQ(sink.samples()[2].q, 2.0);
 }
 
 TEST(CsvSink, HeaderRowsAndClose) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -103,26 +102,6 @@ TEST(Executor, LegacySeedModeReplaysRunScenarioAtBasePlusReplication) {
     EXPECT_DOUBLE_EQ(records[i].result.tct.mean,
                      sim::run_scenario(cfg).tct.mean);
   }
-}
-
-TEST(Executor, ProgressCallbackCountsEveryCell) {
-  ExecutorOptions opts;
-  opts.threads = 2;
-  std::vector<std::size_t> done_values;
-  std::size_t seen_total = 0;
-  opts.on_cell_done = [&](std::size_t done, std::size_t total) {
-    done_values.push_back(done);
-    seen_total = total;
-  };
-  const auto plan = small_plan();
-  Executor(opts).run(plan);
-  EXPECT_EQ(done_values.size(), plan.num_cells());
-  EXPECT_EQ(seen_total, plan.num_cells());
-  // Every completion count appears exactly once (callback is serialized).
-  std::vector<std::size_t> expected;
-  for (std::size_t i = 1; i <= plan.num_cells(); ++i) expected.push_back(i);
-  std::sort(done_values.begin(), done_values.end());
-  EXPECT_EQ(done_values, expected);
 }
 
 TEST(Executor, WorkerExceptionsPropagate) {

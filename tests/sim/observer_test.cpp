@@ -205,7 +205,9 @@ TEST(Observer, SlotSeriesObeysQueueRecursionBounds) {
   const double tau = cfg.lyapunov.tau;
   std::uint64_t sampled_arrivals = 0;
   for (int d = 0; d < 2; ++d) {
-    const auto series = obs.timeseries().device_series(d);
+    std::vector<obs::SlotSample> series;
+    for (const auto& s : obs.timeseries().samples())
+      if (s.device == d) series.push_back(s);
     ASSERT_GT(series.size(), 30u);
     // eq. 10: at most floor(tau F_d / mu1) block-1 jobs finish on the
     // device per slot (+1 for the one in service across the boundary).

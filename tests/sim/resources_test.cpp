@@ -33,7 +33,6 @@ TEST(FifoProcessor, FifoOrderingAndBackToBack) {
   EXPECT_DOUBLE_EQ(finishes[0], 1.0);
   EXPECT_DOUBLE_EQ(finishes[1], 2.0);
   EXPECT_DOUBLE_EQ(finishes[2], 3.0);
-  EXPECT_DOUBLE_EQ(cpu.total_work(), 30.0);
 }
 
 TEST(FifoProcessor, LateSubmissionStartsAtNow) {
@@ -55,9 +54,9 @@ TEST(FifoProcessor, TracksClassesSeparately) {
   cpu.submit(10.0, JobClass::kBlock1, [](double) {});
   EXPECT_EQ(cpu.pending(JobClass::kBlock1), 2);
   EXPECT_EQ(cpu.pending(JobClass::kBlock2), 1);
-  EXPECT_EQ(cpu.pending_total(), 3);
   q.run_all();
-  EXPECT_EQ(cpu.pending_total(), 0);
+  EXPECT_EQ(cpu.pending(JobClass::kBlock1), 0);
+  EXPECT_EQ(cpu.pending(JobClass::kBlock2), 0);
 }
 
 TEST(FifoProcessor, Validation) {
@@ -77,7 +76,6 @@ TEST(Link, TransferTimingSerializationPlusLatency) {
   q.run_all();
   EXPECT_DOUBLE_EQ(t1, 2.5);
   EXPECT_DOUBLE_EQ(t2, 3.5);
-  EXPECT_DOUBLE_EQ(link.total_bytes(), 300.0);
 }
 
 TEST(Link, PropagationIsPipelined) {
@@ -144,6 +142,11 @@ TEST(Link, ZeroByteTransferIsLatencyOnly) {
 namespace leime::sim {
 namespace {
 
+int pending_all(const FifoProcessor& cpu) {
+  return cpu.pending(JobClass::kBlock1) + cpu.pending(JobClass::kBlock2) +
+         cpu.pending(JobClass::kBlock3);
+}
+
 TEST(FifoProcessor, RestartResetsPendingCountersAndBusyUntil) {
   EventQueue q;
   FifoProcessor cpu(q, "edge", 10.0);
@@ -152,7 +155,7 @@ TEST(FifoProcessor, RestartResetsPendingCountersAndBusyUntil) {
              [&](double t) { finishes.push_back(t); });  // finishes at 1.0
   cpu.submit(20.0, JobClass::kBlock2,
              [&](double t) { finishes.push_back(t); });  // finishes at 3.0
-  EXPECT_EQ(cpu.pending_total(), 2);
+  EXPECT_EQ(pending_all(cpu), 2);
 
   q.schedule(0.5, [&] {
     cpu.restart(0.5);
@@ -172,7 +175,7 @@ TEST(FifoProcessor, RestartResetsPendingCountersAndBusyUntil) {
   EXPECT_DOUBLE_EQ(finishes[0], 1.0);   // pre-crash, fires anyway
   EXPECT_DOUBLE_EQ(finishes[1], 1.0);   // 0.5 + 5.0/10.0 post-crash job
   EXPECT_DOUBLE_EQ(finishes[2], 3.0);   // pre-crash, fires anyway
-  EXPECT_EQ(cpu.pending_total(), 0);
+  EXPECT_EQ(pending_all(cpu), 0);
 }
 
 TEST(FifoProcessor, DoubleRestartStaysConsistent) {
@@ -181,10 +184,10 @@ TEST(FifoProcessor, DoubleRestartStaysConsistent) {
   for (int crash = 0; crash < 2; ++crash) {
     cpu.submit(100.0, JobClass::kBlock1, [](double) {});
     cpu.restart(q.now());
-    EXPECT_EQ(cpu.pending_total(), 0);
+    EXPECT_EQ(pending_all(cpu), 0);
   }
   EXPECT_NO_THROW(q.run_all());
-  EXPECT_EQ(cpu.pending_total(), 0);
+  EXPECT_EQ(pending_all(cpu), 0);
 }
 
 TEST(Link, OutageWindowValidation) {
@@ -236,8 +239,7 @@ TEST(Link, TransferStraddlingAnOutageIsHeldNotLost) {
   link.transfer(100.0, [&](double t) { t2 = t; });  // 0.5s before, 0.5 after
   q.run_all();
   EXPECT_DOUBLE_EQ(t1, 0.5);
-  EXPECT_DOUBLE_EQ(t2, 3.5);
-  EXPECT_DOUBLE_EQ(link.total_bytes(), 150.0);  // held, not dropped
+  EXPECT_DOUBLE_EQ(t2, 3.5);  // held, not dropped
 }
 
 TEST(Link, ZeroByteTransferDuringOutageWaitsForTheWindow) {

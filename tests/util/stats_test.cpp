@@ -158,11 +158,6 @@ TEST(Summarize, EmptyIsAllZero) {
   EXPECT_DOUBLE_EQ(s.p99, 0.0);
 }
 
-TEST(MeanOf, Basics) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-}
-
 TEST(MedianOf, InterpolatesAndHandlesEmpty) {
   EXPECT_DOUBLE_EQ(median_of({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median_of({1.0, 2.0, 3.0, 4.0}), 2.5);
