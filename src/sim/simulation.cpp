@@ -136,8 +136,10 @@ class Simulation {
       : cfg_(config), role_(role) {
     if (cfg_.devices.empty())
       throw std::invalid_argument("ScenarioConfig: no devices");
-    if (cfg_.duration <= 0.0 || cfg_.warmup < 0.0 ||
-        cfg_.warmup >= cfg_.duration)
+    // Written so that NaN fails: a NaN duration would never close the
+    // generation window.
+    if (!(cfg_.duration > 0.0 && std::isfinite(cfg_.duration)) ||
+        !(cfg_.warmup >= 0.0 && cfg_.warmup < cfg_.duration))
       throw std::invalid_argument("ScenarioConfig: bad duration/warmup");
     if (cfg_.reallocation_period < 0.0)
       throw std::invalid_argument("ScenarioConfig: bad reallocation_period");

@@ -35,15 +35,19 @@ double IniSection::get_double(const std::string& key) const {
   const auto it = values.find(key);
   if (it == values.end())
     throw std::invalid_argument("ini: [" + name + "] missing key '" + key + "'");
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
+    v = std::stod(it->second, &pos);
     if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return v;
   } catch (const std::exception&) {
     throw std::invalid_argument("ini: [" + name + "] key '" + key +
                                 "' is not a number: '" + it->second + "'");
   }
+  if (!std::isfinite(v))
+    throw std::invalid_argument("ini: [" + name + "] key '" + key +
+                                "' must be finite: '" + it->second + "'");
+  return v;
 }
 
 double IniSection::get_double(const std::string& key, double fallback) const {

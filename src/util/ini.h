@@ -27,8 +27,9 @@ struct IniSection {
   std::string get(const std::string& key, const std::string& fallback = "") const;
 
   /// Typed getters; throw std::invalid_argument on absent keys or
-  /// unparsable values. get_int also rejects non-finite, fractional and
-  /// out-of-range values; get_int32 narrows to int with a range check.
+  /// unparsable values. get_double and get_int reject NaN and infinities;
+  /// get_int also rejects fractional and out-of-range values; get_int32
+  /// narrows to int with a range check.
   double get_double(const std::string& key) const;
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key) const;

@@ -204,6 +204,46 @@ TEST(ScenarioIni, OutOfRangeIntegersAreRejectedByName) {
   }
 }
 
+TEST(ScenarioIni, NonFiniteNumbersAreRejectedByName) {
+  // Each used to hang, skew the run or trip an internal check: a NaN or
+  // infinite duration never ends, a NaN warmup counts no task, NaN
+  // reallocation_period / result_bytes turn the feature off, and an
+  // infinite uplink latency died on a LEIME_CHECK.
+  struct Case {
+    const char* section;
+    const char* key;
+    std::string text;
+  };
+  const std::string head = "[scenario]\nmodel = squeezenet\n";
+  const std::string edge = "[edge]\ngflops = 50\n";
+  const std::string device = "[device]\nrate = 1\n";
+  const Case cases[] = {
+      {"scenario", "duration", head + "duration = nan\n" + edge + device},
+      {"scenario", "duration", head + "duration = inf\n" + edge + device},
+      {"scenario", "warmup", head + "warmup = nan\n" + edge + device},
+      {"scenario", "reallocation_period",
+       head + "reallocation_period = nan\n" + edge + device},
+      {"scenario", "result_bytes",
+       head + "result_bytes = nan\n" + edge + device},
+      {"device", "difficulty", head + edge + device + "difficulty = nan\n"},
+      {"device", "uplink_latency_ms",
+       head + edge + device + "uplink_latency_ms = inf\n"},
+  };
+  for (const auto& c : cases) {
+    try {
+      load_scenario(util::IniFile::parse_string(c.text));
+      ADD_FAILURE() << "expected std::invalid_argument for " << c.text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("[") + c.section + "]"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("'") + c.key + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(ScenarioIni, FaultsSectionParses) {
   const auto s = load_scenario(util::IniFile::parse_string(
       std::string(kFleet) +

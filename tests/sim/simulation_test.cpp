@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "core/exit_setting.h"
 #include "models/zoo.h"
@@ -137,6 +138,29 @@ TEST(Simulation, Validation) {
   ok = base_scenario();
   ok.policy = "unknown";
   EXPECT_THROW(run_scenario(ok), std::invalid_argument);
+}
+
+TEST(Simulation, NonFiniteDurationOrWarmupIsRejected) {
+  // A NaN duration used to pass the check and never close the generation
+  // window; a NaN warmup counted no task at all.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    for (const double duration : {nan, inf}) {
+      auto cfg = base_scenario();
+      cfg.shards.shards = shards;
+      cfg.duration = duration;
+      EXPECT_THROW(run_scenario(cfg), std::invalid_argument)
+          << "duration " << duration << ", shards " << shards;
+    }
+    for (const double warmup : {nan, inf}) {
+      auto cfg = base_scenario();
+      cfg.shards.shards = shards;
+      cfg.warmup = warmup;
+      EXPECT_THROW(run_scenario(cfg), std::invalid_argument)
+          << "warmup " << warmup << ", shards " << shards;
+    }
+  }
 }
 
 }  // namespace

@@ -65,6 +65,25 @@ TEST(Ini, TypedGetterErrors) {
   EXPECT_THROW(s.get_bool("x", false), std::invalid_argument);
 }
 
+TEST(Ini, DoublesMustBeFinite) {
+  const auto ini = IniFile::parse_string(
+      "[s]\nnan = nan\ninf = inf\nninf = -inf\nword = INFINITY\n"
+      "big = 1e308\n");
+  const auto& s = ini.only("s");
+  for (const char* key : {"nan", "inf", "ninf", "word"}) {
+    try {
+      s.get_double(key, 1.0);
+      ADD_FAILURE() << "expected std::invalid_argument for " << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("[s]"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + key + "'"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(s.get_double("big"), 1e308);
+}
+
 TEST(Ini, IntegersAreCheckedBeforeTheCast) {
   const auto ini = IniFile::parse_string(
       "[s]\nnan = nan\ninf = inf\nninf = -inf\nhuge = 1e30\n"
