@@ -10,6 +10,11 @@
 # to counter(...) / gauge(...) / histogram(...) under src/, bench/ and
 # examples/ must match. tests/ is exempt (negative tests register bad
 # names on purpose). Run by CI (.github/workflows/ci.yml, obs job).
+#
+# Names composed at run time (leime_net_*, leime_attr_*, leime_slo_*), the
+# _total suffix on counters and one registration site per name are
+# checked on the live registry of a run with every pillar on, by
+# Golden.ObsOutputFilesAreByteStable (tests/runtime/golden_test.cpp).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,21 +47,30 @@ fi
 # sites — two sites sharing a name would merge into one node and make the
 # flamegraph lie about where time went. Comment lines are skipped (the
 # profiler header quotes example names in its docs).
+#
+# Two names are shared by exactly two sites on purpose, because the e2e
+# benchmark's layer map (bench/e2e/layers.cpp) sums each pair as one layer:
+#   leime.sim.event_loop   the single-queue and the sharded event loop,
+#                          both read as sim.event_loop_s;
+#   leime.bench.ini_parse  parsing and freeing the INI file (bench/e2e),
+#                          together read as util.ini.parse_s.
+# A third site for either, or any other repeat, still fails.
 prof_pattern='^leime\.[a-z0-9_.]+$'
 prof_found=0
-declare -A prof_seen
+declare -A prof_seen prof_sites
+declare -A prof_shared=([leime.sim.event_loop]=2 [leime.bench.ini_parse]=2)
 while IFS=: read -r file line name; do
   prof_found=$((prof_found + 1))
   if ! [[ "$name" =~ $prof_pattern ]]; then
     echo "BAD  $file:$line  '$name' does not match $prof_pattern" >&2
     fail=1
   fi
-  if [[ -n "${prof_seen[$name]:-}" ]]; then
+  prof_sites[$name]=$(( ${prof_sites[$name]:-0} + 1 ))
+  if (( prof_sites[$name] > ${prof_shared[$name]:-1} )); then
     echo "DUP  $file:$line  '$name' already used at ${prof_seen[$name]}" >&2
     fail=1
-  else
-    prof_seen[$name]="$file:$line"
   fi
+  prof_seen[$name]="${prof_seen[$name]:-$file:$line}"
 done < <(grep -rn --include='*.cpp' --include='*.h' \
            -E 'LEIME_PROF_(SCOPE|COUNT)\(\s*"' src bench examples \
          | grep -vE '^[^:]+:[0-9]+:\s*//' \
@@ -67,151 +81,8 @@ if [[ "$prof_found" -eq 0 ]]; then
   exit 2
 fi
 
-# Third pass: the leime_net_* namespace (src/net). The fabric composes
-# per-port names at runtime (prefix + port name + suffix), so the
-# registration-site pass above only ever sees the literal fragments —
-# lint those instead: every "leime_net_..." prefix literal and every
-# "_..." suffix concatenated onto one must stay inside the registry
-# alphabet. The dynamic middle is a Topology node name ("dev3", "ap0"),
-# lowercase-alnum by construction (net/topology_test covers it).
-net_prefix_pattern='^leime_net_[a-z0-9_]*$'
-net_suffix_pattern='^_[a-z0-9_]+$'
-net_found=0
-while IFS=: read -r file line name; do
-  net_found=$((net_found + 1))
-  if ! [[ "$name" =~ $net_prefix_pattern ]]; then
-    echo "BAD  $file:$line  '$name' does not match $net_prefix_pattern" >&2
-    fail=1
-  fi
-done < <(grep -rnoE '"leime_net_[^"]*"' --include='*.cpp' --include='*.h' \
-           src bench examples | sed -E 's/"([^"]*)"$/\1/')
-while IFS=: read -r file line name; do
-  net_found=$((net_found + 1))
-  if ! [[ "$name" =~ $net_suffix_pattern ]]; then
-    echo "BAD  $file:$line  suffix '$name' does not match $net_suffix_pattern" >&2
-    fail=1
-  fi
-done < <(grep -rnoE '(prefix|name)\s*\+\s*"_[^"]*"' \
-           --include='*.cpp' --include='*.h' src/net \
-         | sed -E 's/(prefix|name)\s*\+\s*"([^"]*)"$/\2/')
-
-if [[ "$net_found" -eq 0 ]]; then
-  echo "lint_metric_names: no leime_net_* fragments found — lint is broken" >&2
-  exit 2
-fi
-
-# Fourth pass: the leime_policy_* namespace (src/policy, DESIGN.md §12).
-# Engine::publish_metrics registers every counter as a plain literal, so
-# pass 1 already checks the alphabet; this pass additionally pins the
-# namespace convention — policy counters are monotone tallies, so each
-# must carry the Prometheus _total suffix — and fails loudly if the
-# registration block disappears (a refactor that silently drops the
-# counters would otherwise pass the lint).
-policy_pattern='^leime_policy_[a-z0-9_]+_total$'
-policy_found=0
-while IFS=: read -r file line name; do
-  policy_found=$((policy_found + 1))
-  if ! [[ "$name" =~ $policy_pattern ]]; then
-    echo "BAD  $file:$line  '$name' does not match $policy_pattern" >&2
-    fail=1
-  fi
-done < <(grep -rnoE '"leime_policy_[^"]*"' --include='*.cpp' --include='*.h' \
-           src bench examples | sed -E 's/"([^"]*)"$/\1/')
-
-if [[ "$policy_found" -eq 0 ]]; then
-  echo "lint_metric_names: no leime_policy_* counters found — lint is broken" >&2
-  exit 2
-fi
-
-# Fifth pass: the leime_attr_* / leime_slo_* namespaces (DESIGN.md §13).
-# Attribution composes per-stage and per-component histogram names at
-# runtime (prefix + attr_stage_name/calib_component_name + suffix), so —
-# like the net pass — the fragments are linted: every literal in either
-# namespace must stay inside the registry alphabet, every "_..." suffix
-# concatenated onto a prefix must too, and fully-literal names must be
-# unique across registration sites (two sites sharing one would silently
-# merge their instruments). The dynamic middle is attr_stage_name /
-# calib_component_name, pinned to [a-z0-9_] by tests/obs/attribution_test.
-obs13_pattern='^leime_(attr|slo)_[a-z0-9_]*$'
-obs13_suffix_pattern='^_[a-z0-9_]+$'
-obs13_found=0
-declare -A obs13_seen
-while IFS=: read -r file line name; do
-  obs13_found=$((obs13_found + 1))
-  if ! [[ "$name" =~ $obs13_pattern ]]; then
-    echo "BAD  $file:$line  '$name' does not match $obs13_pattern" >&2
-    fail=1
-  fi
-  # Complete metric names end in a unit/_total/_rate suffix; composition
-  # prefixes (leime_attr_, leime_attr_calib_) end in an underscore and are
-  # exempt from the duplicate check (both composed families share them).
-  if [[ "$name" != *_ ]]; then
-    if [[ -n "${obs13_seen[$name]:-}" ]]; then
-      echo "DUP  $file:$line  '$name' already used at ${obs13_seen[$name]}" >&2
-      fail=1
-    else
-      obs13_seen[$name]="$file:$line"
-    fi
-  fi
-done < <(grep -rnoE '"leime_(attr|slo)_[^"]*"' \
-           --include='*.cpp' --include='*.h' src bench examples \
-         | sed -E 's/"([^"]*)"$/\1/')
-while IFS=: read -r file line name; do
-  obs13_found=$((obs13_found + 1))
-  if ! [[ "$name" =~ $obs13_suffix_pattern ]]; then
-    echo "BAD  $file:$line  suffix '$name' does not match $obs13_suffix_pattern" >&2
-    fail=1
-  fi
-done < <(grep -rnoE 'prefix\s*\+\s*"_[^"]*"' \
-           --include='*.cpp' --include='*.h' src/sim \
-         | sed -E 's/prefix\s*\+\s*"([^"]*)"$/\1/')
-
-if [[ "$obs13_found" -eq 0 ]]; then
-  echo "lint_metric_names: no leime_attr_*/leime_slo_* names found — lint is broken" >&2
-  exit 2
-fi
-
-# Sixth pass: the leime_prov_* / leime_regret_* namespaces (DESIGN.md §14).
-# Provenance counters are monotone tallies (must carry _total) and the
-# regret histograms carry a unit suffix; all names are plain literals in
-# sim/observer.cpp, so beyond the alphabet this pass pins uniqueness —
-# a copy-pasted registration would silently merge two instruments — and
-# fails loudly if the block disappears in a refactor.
-prov_pattern='^leime_(prov|regret)_[a-z0-9_]+$'
-prov_name_found=0
-declare -A prov_seen
-while IFS=: read -r file line name; do
-  prov_name_found=$((prov_name_found + 1))
-  if ! [[ "$name" =~ $prov_pattern ]]; then
-    echo "BAD  $file:$line  '$name' does not match $prov_pattern" >&2
-    fail=1
-  fi
-  if [[ "$name" == leime_prov_* && "$name" != *_total ]]; then
-    echo "BAD  $file:$line  '$name' is a leime_prov_* counter without _total" >&2
-    fail=1
-  fi
-  if [[ "$name" != *_ ]]; then
-    if [[ -n "${prov_seen[$name]:-}" ]]; then
-      echo "DUP  $file:$line  '$name' already used at ${prov_seen[$name]}" >&2
-      fail=1
-    else
-      prov_seen[$name]="$file:$line"
-    fi
-  fi
-done < <(grep -rnoE '"leime_(prov|regret)_[^"]*"' \
-           --include='*.cpp' --include='*.h' src bench examples \
-         | sed -E 's/"([^"]*)"$/\1/')
-
-if [[ "$prov_name_found" -eq 0 ]]; then
-  echo "lint_metric_names: no leime_prov_*/leime_regret_* names found — lint is broken" >&2
-  exit 2
-fi
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
 echo "lint_metric_names: $found registered names all match $pattern"
-echo "lint_metric_names: $prof_found profiler names all match $prof_pattern, no duplicates"
-echo "lint_metric_names: $net_found leime_net_* fragments stay inside the registry alphabet"
-echo "lint_metric_names: $policy_found leime_policy_* counters all carry _total"
-echo "lint_metric_names: $obs13_found leime_attr_*/leime_slo_* fragments stay inside the registry alphabet, no duplicates"
-echo "lint_metric_names: $prov_name_found leime_prov_*/leime_regret_* names well-formed, no duplicates"
+echo "lint_metric_names: $prof_found profiler names all match $prof_pattern, no duplicates beyond the two shared names"

@@ -20,6 +20,7 @@
 
 #include "core/partition.h"
 #include "models/zoo.h"
+#include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/experiment_plan.h"
 #include "runtime/sinks.h"
@@ -326,6 +327,31 @@ TEST(Golden, ObsOutputFilesAreByteStable) {
   EXPECT_GT(rec.result.provenance.oracle_runs, 0u);
   EXPECT_TRUE(rec.result.net.active);
   EXPECT_GT(rec.result.faults.edge_crashes, 0u);
+
+  // The naming contract on the live registry, composed names included.
+  // Two sites registering one name would share an instrument and change
+  // the golden bytes below, so the snapshot also pins uniqueness.
+  const obs::Snapshot& metrics = rec.result.metrics;
+  std::vector<std::string> names;
+  for (const auto& c : metrics.counters) {
+    names.push_back(c.name);
+    EXPECT_TRUE(c.name.ends_with("_total")) << "counter " << c.name;
+  }
+  for (const auto& g : metrics.gauges) names.push_back(g.name);
+  for (const auto& h : metrics.histograms) names.push_back(h.name);
+  for (const auto& name : names)
+    EXPECT_TRUE(obs::valid_metric_name(name)) << name;
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  for (const std::string family :
+       {"net", "policy", "attr", "slo", "prov", "regret"}) {
+    const std::string prefix = "leime_" + family + "_";
+    EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                            [&](const std::string& n) {
+                              return n.starts_with(prefix);
+                            }))
+        << "no " << prefix << "* metric registered";
+  }
   expect_golden("obs_outputs.txt", text);
 }
 
