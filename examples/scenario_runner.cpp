@@ -41,8 +41,8 @@ warmup = 5
 seed = 42
 replications = 1         # >1 reports mean +/- stddev across seeds
 reallocation_period = 0  # >0 re-runs the edge KKT allocation every N seconds
-shared_uplink_mbps = 0   # >0 puts all devices on one shared WiFi AP
-result_bytes = 0         # >0 models result return over the downlink
+shared_uplink_mbps = 0   # >0 puts all devices on one shared WiFi AP; <0 is an error
+result_bytes = 0         # >0 models result return over the downlink; <0 is an error
 
 [edge]
 gflops = 50
@@ -131,7 +131,8 @@ calibration_out =        # eq. 4-9 predicted-vs-actual CSV
 # Optional: sim-time SLO burn-rate alerting (obs/slo.h); enabled by the
 # deadline. Alerts surface as metrics, trace marks and the JSONL below.
 [slo]
-deadline_ms = 0          # >0 arms the monitor
+deadline_ms = 0          # >0 arms the monitor; <0 is an error. The other keys
+                         # are checked even while it is 0
 window_s = 30
 target_miss_rate = 0.01
 burn_threshold = 1

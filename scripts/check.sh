@@ -2,9 +2,11 @@
 # Repo verification gate.
 #
 #   1. Tier-1: configure + build + full ctest suite (ROADMAP.md contract).
-#   2. Zero-alloc: the EventQueue steady-state allocation gate, run
-#      explicitly so the DESIGN.md §10 property shows up by name even
-#      though it also rides inside sim_test.
+#   2. Zero-alloc: the EventQueue steady-state allocation gate and the
+#      attribution pillar's (an attributed task allocates nothing once the
+#      ledger covers its peak), run explicitly so the DESIGN.md §10 and §13
+#      properties show up by name even though they also ride inside
+#      sim_test.
 #   3. Policy: the differential/property suite proving the [policy] fast
 #      paths (memo cache, warm-started B&B, batched eq. 20) result-
 #      identical to the reference searches (DESIGN.md §12), run explicitly
@@ -40,8 +42,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== zero-alloc: EventQueue steady-state gate =="
-./build/tests/sim_test --gtest_filter='EventQueueAlloc.*'
+echo "== zero-alloc: EventQueue and attribution steady-state gates =="
+./build/tests/sim_test \
+  --gtest_filter='EventQueueAlloc.*:AttributionAlloc.SteadyStateTaskAllocatesNothing'
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test

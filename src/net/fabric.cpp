@@ -49,6 +49,12 @@ Fabric::Fabric(sim::EventQueue& queue, Topology topology, Options options)
             topology_.ap_up(i));
   for (int i = 0; i < e; ++i)
     connect(NodeId::edge(i), NodeId::cloud(), topology_.edge_up(i));
+  // Every port exists now, so the addresses below stay valid.
+  for (Router& r : routers_)
+    for (Router::Port& port : r.ports()) {
+      port.id = static_cast<std::uint32_t>(ports_.size());
+      ports_.push_back(&port);
+    }
 }
 
 Router& Fabric::router(NodeId node) {
@@ -160,7 +166,7 @@ void Fabric::advance(std::uint32_t id, double t) {
   if (hop_tap_ && flow.tag != kNoTag && flow.next_hop > 0) {
     const Hop& prev =
         flow.route->hops[static_cast<std::size_t>(flow.next_hop - 1)];
-    hop_tap_(flow.tag, prev.port->name, flow.hop_queued, flow.hop_exec, t);
+    hop_tap_(flow.tag, prev.port->id, flow.hop_queued, flow.hop_exec, t);
   }
   if (flow.next_hop == flow.route->count) {
     ++stats_.delivered;

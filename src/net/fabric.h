@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -64,11 +63,12 @@ class Fabric {
   static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
 
   /// Per-hop span reporter: called once per completed hop of a tagged flow
-  /// with the port's name, when the hop was queued, when the link actually
-  /// started serializing it (max of queue time and the port's busy
-  /// horizon), and when it was delivered to the next node. A pure tap — it
-  /// must not start transfers or otherwise feed back into the fabric.
-  using HopTap = std::function<void(std::uint64_t tag, std::string_view port,
+  /// with the port's fabric-wide id (port(id).name is its name), when the
+  /// hop was queued, when the link actually started serializing it (max of
+  /// queue time and the port's busy horizon), and when it was delivered to
+  /// the next node. A pure tap — it must not start transfers or otherwise
+  /// feed back into the fabric.
+  using HopTap = std::function<void(std::uint64_t tag, std::uint32_t port,
                                     double t_queued, double exec_start,
                                     double t_end)>;
 
@@ -97,6 +97,12 @@ class Fabric {
 
   Router& router(NodeId node);
   const Router& router(NodeId node) const;
+
+  /// Ports by fabric-wide id: dense, 0 .. num_ports() - 1, numbered in
+  /// router order (devices, APs, edges, cloud) and port order within a
+  /// router. Router::Port::id holds the same number.
+  std::size_t num_ports() const { return ports_.size(); }
+  const Router::Port& port(std::uint32_t id) const { return *ports_[id]; }
 
   /// Route-aggregate observations for the controller: the bottleneck
   /// bandwidth (min over hops), total propagation latency (sum), and total
@@ -161,6 +167,7 @@ class Fabric {
   Topology topology_;
   Options options_;
   std::vector<Router> routers_;  ///< devices, then APs, edges, cloud
+  std::vector<const Router::Port*> ports_;  ///< by fabric-wide port id
   std::unordered_map<std::uint64_t, CachedRoute> route_cache_;
   std::vector<Flow> flows_;
   std::uint32_t free_head_ = kNoFlow;

@@ -40,6 +40,7 @@ class Router {
   struct Port {
     NodeId dst;
     std::string name;  ///< "<src>_<dst>", e.g. "dev3_ap0" — metric-safe
+    std::uint32_t id = 0;  ///< fabric-wide port id (net::Fabric::port)
     double queue_limit_bytes = 0.0;  ///< 0 = unbounded
     std::unique_ptr<sim::Link> link;
     PortStats stats;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <string>
 
 #include "util/output.h"
 
@@ -86,14 +87,96 @@ bool TaskWaterfall::calibration_error(CalibComponent comp, double* err) const {
   return false;
 }
 
+std::string port_label(std::uint32_t id,
+                       const std::vector<std::string>& port_names) {
+  if (id < port_names.size()) return port_names[id];
+  return "port" + std::to_string(id);
+}
+
 // ---------------------------------------------------------------------------
 // LatencyLedger
+
+std::uint32_t LatencyLedger::home(std::uint64_t task) const {
+  // Fibonacci hashing spreads consecutive task ids over the table.
+  return static_cast<std::uint32_t>((task * 0x9E3779B97F4A7C15ull) >> 32) &
+         static_cast<std::uint32_t>(index_.size() - 1);
+}
+
+std::uint32_t LatencyLedger::position(std::uint64_t task) const {
+  if (index_.empty()) return kNone;
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  for (std::uint32_t pos = home(task);; pos = (pos + 1) & mask) {
+    const Position& p = index_[pos];
+    if (p.slot == kNone) return kNone;
+    if (p.task == task) return pos;
+  }
+}
+
+LatencyLedger::Entry* LatencyLedger::find(std::uint64_t task) {
+  const std::uint32_t pos = position(task);
+  return pos == kNone ? nullptr : &pool_[index_[pos].slot];
+}
+
+void LatencyLedger::grow_index() {
+  std::vector<Position> old = std::move(index_);
+  index_.assign(old.empty() ? 64 : 2 * old.size(), Position{});
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  for (const Position& p : old) {
+    if (p.slot == kNone) continue;
+    std::uint32_t pos = home(p.task);
+    while (index_[pos].slot != kNone) pos = (pos + 1) & mask;
+    index_[pos] = p;
+  }
+}
+
+void LatencyLedger::erase(std::uint32_t pos) {
+  const std::uint32_t slot = index_[pos].slot;
+  Entry& e = pool_[slot];
+  if (e.first_hop != kNone) {
+    hops_[e.last_hop].next = free_hop_;
+    free_hop_ = e.first_hop;
+  }
+  e.next_free = free_entry_;
+  free_entry_ = slot;
+  --open_;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless their home lies cyclically in (hole, member].
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  std::uint32_t hole = pos;
+  for (std::uint32_t next = (hole + 1) & mask; index_[next].slot != kNone;
+       next = (next + 1) & mask) {
+    const std::uint32_t h = home(index_[next].task);
+    const bool stays = hole <= next ? (hole < h && h <= next)
+                                    : (hole < h || h <= next);
+    if (stays) continue;
+    index_[hole] = index_[next];
+    hole = next;
+  }
+  index_[hole] = Position{};
+}
 
 void LatencyLedger::on_generated(std::uint64_t task, int device,
                                  std::size_t cls, double t, int block,
                                  bool offloaded,
                                  const PredictedComponents& pred) {
-  Entry& e = entries_[task];
+  if (2 * (open_ + 1) > index_.size()) grow_index();
+  const auto mask = static_cast<std::uint32_t>(index_.size() - 1);
+  std::uint32_t pos = home(task);
+  while (index_[pos].slot != kNone && index_[pos].task != task)
+    pos = (pos + 1) & mask;
+  if (index_[pos].slot == kNone) {
+    std::uint32_t slot = free_entry_;
+    if (slot != kNone) {
+      free_entry_ = pool_[slot].next_free;
+      pool_[slot] = Entry{};
+    } else {
+      slot = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    }
+    index_[pos] = {task, slot};
+    ++open_;
+  }
+  Entry& e = pool_[index_[pos].slot];
   e.device = device;
   e.cls = cls;
   e.t_arrive = t;
@@ -119,50 +202,60 @@ void LatencyLedger::close_open(Entry& e, double t) {
   s.service += dur - wait;
 }
 
-void LatencyLedger::on_phase_begin(std::uint64_t task, std::string_view phase,
+void LatencyLedger::on_phase_begin(std::uint64_t task, AttrStage stage,
                                    double t_queued, double exec_start) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  close_open(e, t_queued);
-  e.open = true;
-  e.stage = attr_stage_for_phase(phase);
-  e.t_queued = t_queued;
-  e.exec_start = std::max(t_queued, exec_start);
-  e.hop_wait = 0.0;
-  e.saw_hops = false;
+  Entry* e = find(task);
+  if (!e) return;
+  close_open(*e, t_queued);
+  e->open = true;
+  e->stage = stage;
+  e->t_queued = t_queued;
+  e->exec_start = std::max(t_queued, exec_start);
+  e->hop_wait = 0.0;
+  e->saw_hops = false;
 }
 
 void LatencyLedger::on_phase_end(std::uint64_t task, double t) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  close_open(it->second, t);
+  if (Entry* e = find(task)) close_open(*e, t);
 }
 
-void LatencyLedger::on_hop(std::uint64_t task, std::string_view port,
+void LatencyLedger::on_hop(std::uint64_t task, std::uint32_t port,
                            double t_queued, double exec_start, double t_end) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  if (!e.open || !attr_stage_is_link(e.stage)) return;
-  HopSpan hop;
-  hop.port.assign(port.data(), port.size());
-  hop.wait = std::max(0.0, exec_start - t_queued);
-  hop.service = std::max(0.0, t_end - std::max(t_queued, exec_start));
-  e.hop_wait += hop.wait;
-  e.saw_hops = true;
-  e.hops.push_back(std::move(hop));
+  Entry* e = find(task);
+  if (!e || !e->open || !attr_stage_is_link(e->stage)) return;
+  std::uint32_t node = free_hop_;
+  if (node != kNone) {
+    free_hop_ = hops_[node].next;
+  } else {
+    node = static_cast<std::uint32_t>(hops_.size());
+    hops_.emplace_back();
+  }
+  HopNode& n = hops_[node];
+  n.hop.port = port;
+  n.hop.wait = std::max(0.0, exec_start - t_queued);
+  n.hop.service = std::max(0.0, t_end - std::max(t_queued, exec_start));
+  n.next = kNone;
+  if (e->first_hop == kNone)
+    e->first_hop = node;
+  else
+    hops_[e->last_hop].next = node;
+  e->last_hop = node;
+  e->hop_wait += n.hop.wait;
+  e->saw_hops = true;
 }
 
 bool LatencyLedger::on_parked(std::uint64_t task) {
-  return entries_.erase(task) > 0;
+  const std::uint32_t pos = position(task);
+  if (pos == kNone) return false;
+  erase(pos);
+  return true;
 }
 
 bool LatencyLedger::on_complete(std::uint64_t task, double t_complete,
                                 int retries, bool counted, TaskWaterfall* out) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return false;
-  Entry& e = it->second;
+  const std::uint32_t pos = position(task);
+  if (pos == kNone) return false;
+  Entry& e = pool_[index_[pos].slot];
   close_open(e, t_complete);
   out->task = task;
   out->device = e.device;
@@ -174,72 +267,104 @@ bool LatencyLedger::on_complete(std::uint64_t task, double t_complete,
   out->offloaded = e.offloaded;
   out->counted = counted;
   out->stages = e.stages;
-  out->hops = std::move(e.hops);
+  out->hops.clear();
+  for (std::uint32_t n = e.first_hop; n != kNone; n = hops_[n].next)
+    out->hops.push_back(hops_[n].hop);
   out->pred = e.pred;
   out->e2e = t_complete - e.t_arrive;
   double spans = 0.0;
   for (const auto& s : out->stages) spans += s.wait + s.service;
   out->stall = out->e2e - spans;
-  entries_.erase(it);
+  erase(pos);
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// AttributionSummary
-
-void StageAccum::add(const StageBreakdown& s) {
-  ++count;
-  wait += s.wait;
-  service += s.service;
-  wait_hist.observe(s.wait);
-  service_hist.observe(s.service);
+void LatencyLedger::clear() {
+  pool_.clear();
+  free_entry_ = kNone;
+  hops_.clear();
+  free_hop_ = kNone;
+  index_.assign(index_.size(), Position{});
+  open_ = 0;
 }
 
-void AttributionSummary::add(const TaskWaterfall& wf,
-                             const std::string& cls_name) {
-  active = true;
-  ++tasks;
-  auto cit = std::lower_bound(
-      classes.begin(), classes.end(), cls_name,
-      [](const ClassAccum& c, const std::string& n) { return c.name < n; });
-  if (cit == classes.end() || cit->name != cls_name) {
-    cit = classes.insert(cit, ClassAccum{});
-    cit->name = cls_name;
-  }
-  ClassAccum& c = *cit;
+// ---------------------------------------------------------------------------
+// AttributionFold
+
+AttributionFold::AttributionFold(std::size_t classes) : classes_(classes) {}
+
+void AttributionFold::add(const TaskWaterfall& wf, FoldedWaterfall* out) {
+  FoldedWaterfall scratch;
+  FoldedWaterfall& f = out ? *out : scratch;
+  ++tasks_;
+  AttributionSummary::ClassAccum& c = classes_[wf.cls];
   ++c.tasks;
-  for (int i = 0; i < kAttrStageCount; ++i) {
-    const auto& s = wf.stages[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < wf.stages.size(); ++i) {
+    const auto& s = wf.stages[i];
     if (s.wait == 0.0 && s.service == 0.0) continue;
-    c.stages[static_cast<std::size_t>(i)].add(s);
+    StageAccum& a = c.stages[i];
+    ++a.count;
+    a.wait += s.wait;
+    a.service += s.service;
+    f.wait_bucket[i] = a.wait_hist.bucket(s.wait);
+    f.service_bucket[i] = a.service_hist.bucket(s.service);
+    a.wait_hist.observe_at(f.wait_bucket[i], s.wait);
+    a.service_hist.observe_at(f.service_bucket[i], s.service);
   }
-  c.e2e.observe(wf.e2e);
-  c.stall.observe(wf.stall);
-  for (const auto& hop : wf.hops) {
-    auto pit = std::lower_bound(
-        ports.begin(), ports.end(), hop.port,
-        [](const std::pair<std::string, PortAccum>& p, const std::string& n) {
-          return p.first < n;
-        });
-    if (pit == ports.end() || pit->first != hop.port)
-      pit = ports.insert(pit, {hop.port, PortAccum{}});
-    ++pit->second.spans;
-    pit->second.wait += hop.wait;
-    pit->second.service += hop.service;
+  f.e2e_bucket = c.e2e.bucket(wf.e2e);
+  c.e2e.observe_at(f.e2e_bucket, wf.e2e);
+  f.stall_bucket = c.stall.bucket(wf.stall);
+  c.stall.observe_at(f.stall_bucket, wf.stall);
+  for (const HopSpan& hop : wf.hops) {
+    if (hop.port >= ports_.size()) ports_.resize(hop.port + std::size_t{1});
+    AttributionSummary::PortAccum& p = ports_[hop.port];
+    ++p.spans;
+    p.wait += hop.wait;
+    p.service += hop.service;
   }
-  bool any = false;
+  f.calibrated = 0;
   for (int ci = 0; ci < kCalibComponentCount; ++ci) {
     double err = 0.0;
     if (!wf.calibration_error(static_cast<CalibComponent>(ci), &err)) continue;
-    any = true;
-    auto& ca = calibration[static_cast<std::size_t>(ci)];
+    f.calibrated |= 1u << ci;
+    f.calib_err[static_cast<std::size_t>(ci)] = err;
+    auto& ca = calibration_[static_cast<std::size_t>(ci)];
     ++ca.count;
     ca.err_sum += err;
     ca.abs_err_sum += std::abs(err);
     ca.max_abs_err = std::max(ca.max_abs_err, std::abs(err));
   }
-  if (any) ++calibrated_tasks;
+  if (f.calibrated) ++calibrated_;
 }
+
+AttributionSummary AttributionFold::freeze(
+    const std::vector<std::string>& class_names,
+    const std::vector<std::string>& port_names) const {
+  AttributionSummary s;
+  s.active = true;
+  s.tasks = tasks_;
+  s.incomplete = incomplete_;
+  s.calibration = calibration_;
+  s.calibrated_tasks = calibrated_;
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    if (classes_[i].tasks == 0) continue;
+    s.classes.push_back(classes_[i]);
+    s.classes.back().name = class_names[i];
+  }
+  std::sort(s.classes.begin(), s.classes.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  for (std::size_t id = 0; id < ports_.size(); ++id) {
+    if (ports_[id].spans == 0) continue;
+    s.ports.emplace_back(
+        port_label(static_cast<std::uint32_t>(id), port_names), ports_[id]);
+  }
+  std::sort(s.ports.begin(), s.ports.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return s;
+}
+
+// ---------------------------------------------------------------------------
+// AttributionSummary
 
 void AttributionSummary::to_json(std::ostream& out) const {
   out << "{\"tasks\":" << tasks << ",\"incomplete\":" << incomplete
@@ -305,7 +430,8 @@ const std::string& cls_name_of(const TaskWaterfall& wf,
 
 void write_waterfalls_jsonl(std::ostream& out,
                             const std::vector<TaskWaterfall>& rows,
-                            const std::vector<std::string>& class_names) {
+                            const std::vector<std::string>& class_names,
+                            const std::vector<std::string>& port_names) {
   for (const auto& wf : rows) {
     out << "{\"task\":" << wf.task << ",\"class\":\""
         << json_escape(cls_name_of(wf, class_names))
@@ -330,7 +456,8 @@ void write_waterfalls_jsonl(std::ostream& out,
       out << ",\"hops\":[";
       for (std::size_t i = 0; i < wf.hops.size(); ++i) {
         if (i) out << ',';
-        out << "{\"port\":\"" << json_escape(wf.hops[i].port)
+        out << "{\"port\":\""
+            << json_escape(port_label(wf.hops[i].port, port_names))
             << "\",\"wait\":" << num(wf.hops[i].wait)
             << ",\"service\":" << num(wf.hops[i].service) << '}';
       }

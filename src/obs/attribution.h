@@ -20,15 +20,14 @@
 // backoff, fault-detection timeouts). sim/observer_test enforces it to 1e-9
 // for every completed task of a faulty topology run.
 //
-// This header is sim-free on purpose: everything is plain doubles/strings so
-// the ledger can be unit-tested with synthetic spans and the summary can
-// ride inside SimResult/RunRecord.
+// This header is sim-free on purpose: everything is plain doubles, stage
+// ids and port ids, so the ledger can be unit-tested with synthetic spans
+// and the summary can ride inside SimResult/RunRecord.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +57,7 @@ const char* attr_stage_name(AttrStage stage);
 
 /// Maps a simulator phase name ("local_block1", "uplink", "edge_block2",
 /// "cloud_block3", "return_link", ...) onto its stage; kOther for unknown.
+/// Observers resolve each phase id's stage once with it, not per span.
 AttrStage attr_stage_for_phase(std::string_view phase);
 
 /// True for stages carried by network links — their spans are refined by
@@ -102,10 +102,15 @@ struct StageBreakdown {
 
 /// One fabric hop of a link stage (topology mode only).
 struct HopSpan {
-  std::string port;  ///< router port name, e.g. "ap0_edge0"
+  std::uint32_t port = 0;  ///< fabric-wide port id (net::Fabric::port)
   double wait = 0.0;
   double service = 0.0;
 };
+
+/// The name of port `id` in a names-by-id table (the observer's
+/// port_names()); "port<id>" for an id the table does not cover.
+std::string port_label(std::uint32_t id,
+                       const std::vector<std::string>& port_names);
 
 /// A completed task's assembled waterfall.
 struct TaskWaterfall {
@@ -135,6 +140,12 @@ struct TaskWaterfall {
 /// Reassembles waterfalls from the observer's span stream. One entry per
 /// in-flight task; entries leave at completion (assembled) or when parked
 /// (dropped — a parked task has no end-to-end latency to attribute).
+///
+/// Flat layout (DESIGN.md §13): entries are fixed-size slots in a pool with
+/// a free list, found by an open-addressing index over task ids, and each
+/// entry's hops are a list of records in a shared arena whose nodes return
+/// to a free list at completion or park. Memory is O(tasks in flight); once
+/// the pool, the index and the arena cover the peak, no call allocates.
 class LatencyLedger {
  public:
   /// Registers a generated task. `pred` is the decision-time prediction for
@@ -142,55 +153,89 @@ class LatencyLedger {
   void on_generated(std::uint64_t task, int device, std::size_t cls, double t,
                     int block, bool offloaded, const PredictedComponents& pred);
 
-  /// A phase span opened. An already-open span is closed defensively at
-  /// `t_queued` first (its elapsed time still counts toward its stage).
-  void on_phase_begin(std::uint64_t task, std::string_view phase,
-                      double t_queued, double exec_start);
+  /// A span of `stage` opened. An already-open span is closed defensively
+  /// at `t_queued` first (its elapsed time still counts toward its stage).
+  void on_phase_begin(std::uint64_t task, AttrStage stage, double t_queued,
+                      double exec_start);
 
   /// The open span (if any) closed at `t` — normal end or abort. Aborted
   /// attempts still accumulate: the time was really spent.
   void on_phase_end(std::uint64_t task, double t);
 
-  /// A fabric hop of the task's current link span finished. Hops partition
-  /// the span exactly (hop k ends where hop k+1 queues), so the stage's
-  /// wait/service split is refined from the hop reports when present.
-  void on_hop(std::uint64_t task, std::string_view port, double t_queued,
+  /// A fabric hop on port id `port` of the task's current link span
+  /// finished. Hops partition the span exactly (hop k ends where hop k+1
+  /// queues), so the stage's wait/service split is refined from the hop
+  /// reports when present.
+  void on_hop(std::uint64_t task, std::uint32_t port, double t_queued,
               double exec_start, double t_end);
 
   /// Drops the entry (terminal-pending). Returns true when it existed.
   bool on_parked(std::uint64_t task);
 
-  /// Assembles and removes the entry into `*out`. Returns false when the
-  /// task was never registered. `retries`/`counted` come from the
-  /// completion hook (unknown at generation time).
+  /// Assembles and removes the entry into `*out`, whose hop vector is
+  /// reused (a caller that passes the same row every time allocates only
+  /// while its capacity grows). Returns false when the task was never
+  /// registered. `retries`/`counted` come from the completion hook
+  /// (unknown at generation time).
   bool on_complete(std::uint64_t task, double t_complete, int retries,
                    bool counted, TaskWaterfall* out);
 
-  std::size_t open_tasks() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
+  std::size_t open_tasks() const { return open_; }
+  /// Drops every entry; the pool, index and arena keep their capacity.
+  void clear();
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct Entry {
-    int device = -1;
-    std::size_t cls = 0;
-    double t_arrive = 0.0;
-    int block = 0;
-    bool offloaded = false;
-    PredictedComponents pred;
-    std::array<StageBreakdown, kAttrStageCount> stages{};
-    std::vector<HopSpan> hops;
-    // Open-span state.
-    bool open = false;
+    // What every span and hop hook touches comes first.
+    bool open = false;  ///< a span is open
     AttrStage stage = AttrStage::kOther;
+    bool saw_hops = false;
+    std::uint32_t first_hop = kNone;  ///< arena list, traversal order
+    std::uint32_t last_hop = kNone;
+    std::uint32_t next_free = kNone;  ///< pool free-list link
     double t_queued = 0.0;
     double exec_start = 0.0;
     double hop_wait = 0.0;  ///< sum of hop waits since the span opened
-    bool saw_hops = false;
+    std::array<StageBreakdown, kAttrStageCount> stages{};
+    // Read at completion.
+    double t_arrive = 0.0;
+    std::size_t cls = 0;
+    int device = -1;
+    int block = 0;
+    bool offloaded = false;
+    PredictedComponents pred;
+  };
+  struct HopNode {
+    HopSpan hop;
+    std::uint32_t next = kNone;  ///< the entry's next hop, or free link
+  };
+  /// One index position: a task id and its pool slot (kNone = empty). The
+  /// id lives here, so probing never touches the pool.
+  struct Position {
+    std::uint64_t task = 0;
+    std::uint32_t slot = kNone;
   };
 
+  Entry* find(std::uint64_t task);
+  /// Index position holding `task`, or kNone.
+  std::uint32_t position(std::uint64_t task) const;
+  std::uint32_t home(std::uint64_t task) const;
+  void grow_index();
+  /// Returns the entry's hops to the arena and its slot to the pool, and
+  /// removes index position `pos`.
+  void erase(std::uint32_t pos);
   void close_open(Entry& e, double t);
 
-  std::map<std::uint64_t, Entry> entries_;
+  std::vector<Entry> pool_;
+  std::uint32_t free_entry_ = kNone;
+  std::vector<HopNode> hops_;
+  std::uint32_t free_hop_ = kNone;
+  /// Open addressing with linear probing, at most half full. Erase shifts
+  /// back, so there are no tombstones.
+  std::vector<Position> index_;
+  std::size_t open_ = 0;
 };
 
 /// Per-stage aggregate: totals plus log-bucket wait/service histograms.
@@ -200,8 +245,6 @@ struct StageAccum {
   double service = 0.0;
   Histogram wait_hist{attr_latency_buckets()};
   Histogram service_hist{attr_latency_buckets()};
-
-  void add(const StageBreakdown& s);
 };
 
 /// One run's summary: per-device-class waterfalls, per-port hop totals and
@@ -236,20 +279,68 @@ struct AttributionSummary {
   std::array<CalibrationAccum, kCalibComponentCount> calibration{};
   std::uint64_t calibrated_tasks = 0;
 
-  /// Folds one waterfall in, keyed by the class's stable name.
-  void add(const TaskWaterfall& wf, const std::string& cls_name);
-
   /// One JSON object (single line, no trailing newline): deterministic
   /// key order, util::num doubles — the representation sinks embed in
   /// runtime JSONL.
   void to_json(std::ostream& out) const;
 };
 
+/// What AttributionFold::add computed for one waterfall, for histograms of
+/// the attr_latency_buckets() geometry to reuse (Histogram::observe_at):
+/// the bucket of each touched stage's wait and service, of the stall and of
+/// e2e, and the calibration errors.
+struct FoldedWaterfall {
+  std::array<std::size_t, kAttrStageCount> wait_bucket{};
+  std::array<std::size_t, kAttrStageCount> service_bucket{};
+  std::size_t stall_bucket = 0;
+  std::size_t e2e_bucket = 0;
+  std::uint32_t calibrated = 0;  ///< bit c: component c has an error
+  std::array<double, kCalibComponentCount> calib_err{};
+};
+
+/// The completion-time fold behind an AttributionSummary, keyed by dense
+/// ids instead of names: the class index TaskWaterfall::cls carries and the
+/// port id of each hop. add() looks up no name and, once the port table
+/// covers every port id, allocates nothing; freeze() resolves the names and
+/// sorts. Every accumulator sees the same values in the same order as a
+/// fold keyed by name, so the frozen sums are bit-identical to one.
+class AttributionFold {
+ public:
+  AttributionFold() = default;
+  /// `classes` = the number of class indices add() will see.
+  explicit AttributionFold(std::size_t classes);
+
+  /// Folds one completed waterfall in (wf.cls < classes). `out`, when
+  /// given, receives the buckets and calibration errors computed on the
+  /// way.
+  void add(const TaskWaterfall& wf, FoldedWaterfall* out = nullptr);
+
+  /// Counts ledger entries that never completed (parked, open at run end).
+  void add_incomplete(std::uint64_t n) { incomplete_ += n; }
+
+  /// An active summary: classes that completed a task and ports that
+  /// carried a span, each sorted by name. `class_names` and `port_names`
+  /// map the ids (port_label covers ids past the end of `port_names`).
+  AttributionSummary freeze(const std::vector<std::string>& class_names,
+                            const std::vector<std::string>& port_names) const;
+
+ private:
+  std::uint64_t tasks_ = 0;
+  std::uint64_t incomplete_ = 0;
+  std::uint64_t calibrated_ = 0;
+  std::vector<AttributionSummary::ClassAccum> classes_;  ///< by class index
+  std::vector<AttributionSummary::PortAccum> ports_;     ///< by port id
+  std::array<AttributionSummary::CalibrationAccum, kCalibComponentCount>
+      calibration_{};
+};
+
 /// One JSON object per waterfall, one per line ("where did the millisecond
-/// go" — consumed by examples/trace_viewer --waterfall).
+/// go" — consumed by examples/trace_viewer --waterfall). Hop ports are
+/// written by name (port_label over `port_names`).
 void write_waterfalls_jsonl(std::ostream& out,
                             const std::vector<TaskWaterfall>& rows,
-                            const std::vector<std::string>& class_names);
+                            const std::vector<std::string>& class_names,
+                            const std::vector<std::string>& port_names);
 
 /// Predicted-vs-actual calibration table, one CSV row per completed task
 /// that captured a prediction (header included).

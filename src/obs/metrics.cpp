@@ -1,7 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 
@@ -73,34 +76,118 @@ bool valid_metric_name(const std::string& name) {
 
 // ------------------------------------------------------------- Histogram
 
-Histogram::Histogram(HistogramOptions opts) : opts_(opts) {
-  if (!(opts_.min_bound > 0.0) || !(opts_.max_bound > opts_.min_bound))
+/// The bit pattern of a positive double grows with its value, so its top
+/// bits (exponent plus a few mantissa bits) cut [min_bound, max_bound)
+/// into cells no wider than a bucket; each cell names the first bucket it
+/// overlaps and one compare against the bucket's upper edge finishes the
+/// lookup. The edges are computed, so a value within a relative 1e-9 of an
+/// interior edge takes the log formula instead: far more than the few ULPs
+/// by which the formula's own rounding can move an edge, so both paths
+/// agree on every input.
+struct Histogram::Geometry {
+  static constexpr double kGuard = 1e-9;
+  static constexpr std::size_t kMaxCells = 4096;
+
+  HistogramOptions opts;
+  double log_min = 0.0;
+  double log_growth = 0.0;
+  int shift = 52;                 ///< bits(v) >> shift = cell number
+  std::uint64_t first_cell = 0;   ///< cell number of min_bound
+  std::vector<std::uint16_t> cell_bucket;  ///< empty: always use the log
+  std::vector<double> upper;    ///< upper edge of each geometric bucket
+  std::vector<double> safe_lo;  ///< per bucket: where the lookup is exact
+  std::vector<double> safe_hi;
+};
+
+const Histogram::Geometry* Histogram::geometry_for(
+    const HistogramOptions& opts) {
+  if (!(opts.min_bound > 0.0) || !(opts.max_bound > opts.min_bound))
     throw std::invalid_argument(
         "Histogram: bounds must satisfy 0 < min_bound < max_bound");
-  if (opts_.buckets < 1)
+  if (opts.buckets < 1)
     throw std::invalid_argument("Histogram: need at least one bucket");
-  log_min_ = std::log(opts_.min_bound);
-  log_growth_ =
-      (std::log(opts_.max_bound) - log_min_) / opts_.buckets;
-  counts_.assign(static_cast<std::size_t>(opts_.buckets) + 2, 0);
+  // A handful of geometries per process; built once, never freed.
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const Geometry>> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& geo : cache)
+    if (geo->opts == opts) return geo.get();
+
+  auto geo = std::make_unique<Geometry>();
+  geo->opts = opts;
+  geo->log_min = std::log(opts.min_bound);
+  geo->log_growth = (std::log(opts.max_bound) - geo->log_min) / opts.buckets;
+  const auto n = static_cast<std::size_t>(opts.buckets);
+  geo->upper.resize(n);
+  for (std::size_t b = 0; b + 1 < n; ++b)
+    geo->upper[b] = std::exp(geo->log_min +
+                             geo->log_growth * static_cast<double>(b + 1));
+  geo->upper[n - 1] = opts.max_bound;
+  geo->safe_lo.resize(n);
+  geo->safe_hi.resize(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    // The outer edges are exact comparisons in bucket(), and the formula
+    // clamps into [0, n - 1], so only interior edges need a guard band.
+    geo->safe_lo[b] =
+        b == 0 ? opts.min_bound : geo->upper[b - 1] * (1.0 + Geometry::kGuard);
+    geo->safe_hi[b] = b + 1 == n ? std::numeric_limits<double>::infinity()
+                                 : geo->upper[b] * (1.0 - Geometry::kGuard);
+  }
+  // Cells of relative width 2^-m <= growth - 1 overlap at most two buckets.
+  const double growth = std::exp(geo->log_growth);
+  int m = 0;
+  while (m < 12 && std::ldexp(1.0, -m) > growth - 1.0) ++m;
+  geo->shift = 52 - m;
+  geo->first_cell = std::bit_cast<std::uint64_t>(opts.min_bound) >> geo->shift;
+  const std::uint64_t cells =
+      (std::bit_cast<std::uint64_t>(opts.max_bound) >> geo->shift) -
+      geo->first_cell + 1;
+  if (std::ldexp(1.0, -m) <= growth - 1.0 && cells <= Geometry::kMaxCells &&
+      n <= 0xffff) {
+    geo->cell_bucket.resize(static_cast<std::size_t>(cells));
+    std::size_t b = 0;
+    for (std::uint64_t c = 0; c < cells; ++c) {
+      const double low =
+          std::bit_cast<double>((geo->first_cell + c) << geo->shift);
+      while (b + 1 < n && low >= geo->upper[b]) ++b;
+      geo->cell_bucket[static_cast<std::size_t>(c)] =
+          static_cast<std::uint16_t>(b);
+    }
+  }
+  cache.push_back(std::move(geo));
+  return cache.back().get();
 }
 
-void Histogram::observe(double v) {
-  stats_.add(v);
-  std::size_t idx;
-  if (v < opts_.min_bound) {
-    idx = 0;
-  } else if (v >= opts_.max_bound) {
-    idx = counts_.size() - 1;
-  } else {
-    const int b = static_cast<int>((std::log(v) - log_min_) / log_growth_);
-    idx = static_cast<std::size_t>(std::clamp(b, 0, opts_.buckets - 1)) + 1;
+Histogram::Histogram(HistogramOptions opts)
+    : geo_(geometry_for(opts)),
+      counts_(static_cast<std::size_t>(opts.buckets) + 2, 0) {}
+
+const HistogramOptions& Histogram::options() const { return geo_->opts; }
+
+std::size_t Histogram::bucket(double v) const {
+  const Geometry& g = *geo_;
+  if (v < g.opts.min_bound) return 0;
+  if (v >= g.opts.max_bound) return counts_.size() - 1;
+  // NaN lands past the table and takes the formula, as it always did.
+  const std::uint64_t cell =
+      (std::bit_cast<std::uint64_t>(v) >> g.shift) - g.first_cell;
+  if (cell < g.cell_bucket.size()) {
+    std::size_t b = g.cell_bucket[static_cast<std::size_t>(cell)];
+    if (v >= g.upper[b]) ++b;
+    if (v >= g.safe_lo[b] && v < g.safe_hi[b]) return b + 1;
   }
-  ++counts_[idx];
+  return bucket_by_log(v);
+}
+
+std::size_t Histogram::bucket_by_log(double v) const {
+  const int b =
+      static_cast<int>((std::log(v) - geo_->log_min) / geo_->log_growth);
+  return static_cast<std::size_t>(std::clamp(b, 0, geo_->opts.buckets - 1)) +
+         1;
 }
 
 double Histogram::upper_bound(int bucket) const {
-  return std::exp(log_min_ + log_growth_ * (bucket + 1));
+  return std::exp(geo_->log_min + geo_->log_growth * (bucket + 1));
 }
 
 double histogram_quantile(const HistogramOptions& opts,
@@ -135,11 +222,11 @@ double histogram_quantile(const HistogramOptions& opts,
 }
 
 double Histogram::quantile(double q) const {
-  return histogram_quantile(opts_, counts_, stats_, q);
+  return histogram_quantile(geo_->opts, counts_, stats_, q);
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (!(opts_ == other.opts_))
+  if (geo_ != other.geo_)
     throw std::invalid_argument(
         "Histogram::merge: shards have different bucket geometry");
   absorb(other.counts_, other.stats_);

@@ -73,10 +73,22 @@ class Histogram {
  public:
   explicit Histogram(HistogramOptions opts = {});
 
-  void observe(double v);
+  void observe(double v) { observe_at(bucket(v), v); }
+
+  /// Index into counts() of the bucket `v` falls in. Histograms with equal
+  /// options agree, so one call can feed several of them. Exactly the
+  /// bucket the log formula (log(v) - log(min_bound)) / log(growth) names,
+  /// found without a log for all but the values next to an edge.
+  std::size_t bucket(double v) const;
+
+  /// observe(v) with bucket(v) already computed.
+  void observe_at(std::size_t bucket, double v) {
+    stats_.add(v);
+    ++counts_[bucket];
+  }
 
   const util::RunningStats& stats() const { return stats_; }
-  const HistogramOptions& options() const { return opts_; }
+  const HistogramOptions& options() const;
 
   /// Bucket counts: [0] = underflow, [1..buckets] = geometric buckets,
   /// [buckets+1] = overflow.
@@ -98,9 +110,14 @@ class Histogram {
               const util::RunningStats& stats);
 
  private:
-  HistogramOptions opts_;
-  double log_min_;
-  double log_growth_;
+  /// The options, their logs and the log-free bucket lookup, shared by
+  /// every histogram with the same options (metrics.cpp), so a histogram
+  /// is a pointer, its counts and its moments.
+  struct Geometry;
+  static const Geometry* geometry_for(const HistogramOptions& opts);
+  std::size_t bucket_by_log(double v) const;
+
+  const Geometry* geo_;
   std::vector<std::uint64_t> counts_;
   util::RunningStats stats_;
 };

@@ -13,8 +13,9 @@ namespace leime::sim {
 namespace {
 
 // TCTs and phase durations span microseconds (cloud compute) to tens of
-// seconds (fault-window backlogs): ~2.6 buckets/decade over 9 decades.
-const obs::HistogramOptions kLatencyBuckets{1e-6, 1e3, 54};
+// seconds (fault-window backlogs): ~2.6 buckets/decade over 9 decades. The
+// attribution fold's geometry, so completion reuses its bucket indices.
+const obs::HistogramOptions kLatencyBuckets = obs::attr_latency_buckets();
 // Queue backlogs and per-slot drift/penalty magnitudes.
 const obs::HistogramOptions kQueueBuckets{1e-2, 1e4, 36};
 
@@ -31,7 +32,17 @@ std::string sanitize_class(std::string name) {
   return name;
 }
 
+constexpr const char* kPhaseNames[kPhaseCount] = {
+    "local_block1", "uplink",       "edge_block1",
+    "uplink",       "edge_block2",  "edge_cloud_link",
+    "cloud_block3", "return_link",  "cloud_return_link",
+};
+
 }  // namespace
+
+const char* phase_name(Phase phase) {
+  return kPhaseNames[static_cast<std::size_t>(phase)];
+}
 
 RecordingObserver::RecordingObserver(ObsConfig config, std::size_t num_devices,
                                      std::vector<std::string> device_classes)
@@ -57,7 +68,11 @@ RecordingObserver::RecordingObserver(ObsConfig config, std::size_t num_devices,
     device_class_.push_back(static_cast<std::size_t>(
         std::lower_bound(class_names_.begin(), class_names_.end(), c) -
         class_names_.begin()));
-  attr_summary_.active = attr_on_;
+  if (attr_on_) {
+    for (std::size_t p = 0; p < kPhaseCount; ++p)
+      phase_stage_[p] = obs::attr_stage_for_phase(phase_name(static_cast<Phase>(p)));
+    attr_fold_ = obs::AttributionFold(class_names_.size());
+  }
   if (cfg_.slo.enabled())
     slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo, class_names_.size());
   if (cfg_.provenance.enabled())
@@ -213,17 +228,19 @@ void RecordingObserver::on_task_generated(std::uint64_t task, int device,
 }
 
 void RecordingObserver::on_phase_begin(std::uint64_t task, int device,
-                                       std::string_view phase,
-                                       std::string_view track, double t_queued,
-                                       double exec_start, int attempt) {
-  if (attr_on_) ledger_.on_phase_begin(task, phase, t_queued, exec_start);
+                                       Phase phase, std::string_view track,
+                                       double t_queued, double exec_start,
+                                       int attempt) {
+  if (attr_on_)
+    ledger_.on_phase_begin(task, phase_stage_[static_cast<std::size_t>(phase)],
+                           t_queued, exec_start);
   if (!sampler_.sampled(task)) return;
   // A task occupies one phase at a time; a begin while another span is
   // open means the previous phase's end was skipped — close it defensively
   // so the trace stays well-formed.
   close_span(task, t_queued, "lost");
   OpenSpan span;
-  span.phase.assign(phase.data(), phase.size());
+  span.phase = phase_name(phase);
   span.track.assign(track.data(), track.size());
   span.t_begin = t_queued;
   span.device = device;
@@ -269,37 +286,36 @@ void RecordingObserver::on_task_complete(std::uint64_t task, int device,
                                          bool counted) {
   (void)block;
   const double tct = t_complete - t_arrive;
-  if (metrics_on_) {
-    c_completed_->inc();
-    if (counted) h_tct_->observe(tct);
-  }
-  if (attr_on_) {
-    obs::TaskWaterfall wf;
-    if (ledger_.on_complete(task, t_complete, retries, counted, &wf)) {
-      if (metrics_on_) {
-        c_attr_tasks_->inc();
-        h_attr_stall_->observe(wf.stall);
-        for (int i = 0; i < obs::kAttrStageCount; ++i) {
-          const auto& s = wf.stages[static_cast<std::size_t>(i)];
-          if (s.wait == 0.0 && s.service == 0.0) continue;
-          h_attr_wait_[static_cast<std::size_t>(i)]->observe(s.wait);
-          h_attr_service_[static_cast<std::size_t>(i)]->observe(s.service);
-        }
-        bool calibrated = false;
-        for (int ci = 0; ci < obs::kCalibComponentCount; ++ci) {
-          double err = 0.0;
-          if (!wf.calibration_error(static_cast<obs::CalibComponent>(ci),
-                                    &err))
-            continue;
-          calibrated = true;
-          auto& hist = err >= 0.0 ? h_calib_over_ : h_calib_under_;
-          hist[static_cast<std::size_t>(ci)]->observe(err >= 0.0 ? err : -err);
-        }
-        if (calibrated) c_attr_calibrated_->inc();
+  if (metrics_on_) c_completed_->inc();
+  if (attr_on_ &&
+      ledger_.on_complete(task, t_complete, retries, counted, &done_)) {
+    // The fold computes each value's bucket once; the metrics histograms
+    // share its geometry and reuse the indices.
+    obs::FoldedWaterfall folded;
+    attr_fold_.add(done_, &folded);
+    if (metrics_on_) {
+      if (counted)
+        h_tct_->observe_at(
+            done_.e2e == tct ? folded.e2e_bucket : h_tct_->bucket(tct), tct);
+      c_attr_tasks_->inc();
+      h_attr_stall_->observe_at(folded.stall_bucket, done_.stall);
+      for (std::size_t i = 0; i < done_.stages.size(); ++i) {
+        const auto& s = done_.stages[i];
+        if (s.wait == 0.0 && s.service == 0.0) continue;
+        h_attr_wait_[i]->observe_at(folded.wait_bucket[i], s.wait);
+        h_attr_service_[i]->observe_at(folded.service_bucket[i], s.service);
       }
-      attr_summary_.add(wf, class_names_[wf.cls]);
-      if (keep_rows_) waterfalls_.push_back(std::move(wf));
+      for (std::size_t ci = 0; ci < folded.calib_err.size(); ++ci) {
+        if (!(folded.calibrated >> ci & 1u)) continue;
+        const double err = folded.calib_err[ci];
+        (err >= 0.0 ? h_calib_over_ : h_calib_under_)[ci]->observe(
+            err >= 0.0 ? err : -err);
+      }
+      if (folded.calibrated) c_attr_calibrated_->inc();
     }
+    if (keep_rows_) waterfalls_.push_back(done_);
+  } else if (metrics_on_ && counted) {
+    h_tct_->observe(tct);
   }
   if (slo_ && counted) {
     const std::size_t cls = class_of(device);
@@ -359,7 +375,7 @@ void RecordingObserver::on_task_parked(std::uint64_t task, int device,
                                        double t) {
   if (attr_on_ && ledger_.on_parked(task)) {
     // A parked task has no completion, so no waterfall: it only counts.
-    ++attr_summary_.incomplete;
+    attr_fold_.add_incomplete(1);
     if (metrics_on_) c_attr_incomplete_->inc();
   }
   if (metrics_on_) c_parked_->inc();
@@ -492,7 +508,7 @@ void RecordingObserver::on_fault(std::string_view kind, int device, double t) {
   }
 }
 
-void RecordingObserver::on_net_hop(std::uint64_t task, std::string_view port,
+void RecordingObserver::on_net_hop(std::uint64_t task, std::uint32_t port,
                                    double t_queued, double exec_start,
                                    double t_end) {
   if (attr_on_) ledger_.on_hop(task, port, t_queued, exec_start, t_end);
@@ -500,6 +516,11 @@ void RecordingObserver::on_net_hop(std::uint64_t task, std::string_view port,
 
 void RecordingObserver::on_net_fabric(const net::Fabric& fabric, double t) {
   if (metrics_on_) fabric.export_metrics(registry_, t);
+  if (attr_on_) {
+    port_names_.clear();
+    for (std::uint32_t id = 0; id < fabric.num_ports(); ++id)
+      port_names_.push_back(fabric.port(id).name);
+  }
 }
 
 void RecordingObserver::on_run_end(double t) {
@@ -510,7 +531,7 @@ void RecordingObserver::on_run_end(double t) {
     // Entries still open never completed: count them, drop the partials.
     const auto open = static_cast<std::uint64_t>(ledger_.open_tasks());
     if (open > 0) {
-      attr_summary_.incomplete += open;
+      attr_fold_.add_incomplete(open);
       if (metrics_on_) c_attr_incomplete_->inc(open);
       ledger_.clear();
     }
@@ -539,6 +560,11 @@ std::size_t RecordingObserver::class_of(int device) const {
   if (device >= 0 && static_cast<std::size_t>(device) < device_class_.size())
     return device_class_[static_cast<std::size_t>(device)];
   return 0;
+}
+
+obs::AttributionSummary RecordingObserver::attribution_summary() const {
+  if (!attr_on_) return {};
+  return attr_fold_.freeze(class_names_, port_names_);
 }
 
 obs::SloSummary RecordingObserver::slo_summary() const {
@@ -570,7 +596,7 @@ void RecordingObserver::export_outputs() const {
   }
   if (!cfg_.attribution_out.empty())
     util::write_file(cfg_.attribution_out, "attribution", [&](std::ostream& o) {
-      obs::write_waterfalls_jsonl(o, waterfalls_, class_names_);
+      obs::write_waterfalls_jsonl(o, waterfalls_, class_names_, port_names_);
     });
   if (!cfg_.calibration_out.empty())
     util::write_file(cfg_.calibration_out, "calibration", [&](std::ostream& o) {

@@ -66,6 +66,23 @@ struct SlotTelemetry {
   bool batched = false;
 };
 
+/// A task's phase: one leg of its pipeline (DESIGN.md §16), in pipeline
+/// order — a compute block on the device, edge or cloud tier, or a
+/// transfer between tiers. The simulator's steps are these ids, so hooks
+/// carry them as integers and phase_name() is looked up only where text is
+/// written (trace spans).
+enum class Phase : std::uint8_t {
+  kLocal1, kUpRaw, kEdge1, kUpTensor, kEdge2, kEdgeCloud, kCloud3,
+  kEdgeReturn, kCloudReturn
+};
+
+inline constexpr std::size_t kPhaseCount = 9;
+
+/// "local_block1", "uplink" (both upload phases), "edge_block1",
+/// "edge_block2", "edge_cloud_link", "cloud_block3", "return_link",
+/// "cloud_return_link".
+const char* phase_name(Phase phase);
+
 /// Hook interface. All methods have empty defaults so implementations
 /// override only what they record. Times are simulated seconds.
 class Observer {
@@ -79,9 +96,9 @@ class Observer {
   /// enqueued; `exec_start` is when the resource actually starts it
   /// (== t_queued for links, max(now, busy_until) for processors).
   virtual void on_phase_begin(std::uint64_t /*task*/, int /*device*/,
-                              std::string_view /*phase*/,
-                              std::string_view /*track*/, double /*t_queued*/,
-                              double /*exec_start*/, int /*attempt*/) {}
+                              Phase /*phase*/, std::string_view /*track*/,
+                              double /*t_queued*/, double /*exec_start*/,
+                              int /*attempt*/) {}
   /// The open phase of `task` finished normally at `t`.
   virtual void on_phase_end(std::uint64_t /*task*/, double /*t*/) {}
   /// The open phase of `task` (if any) was abandoned at `t` — crash
@@ -104,14 +121,16 @@ class Observer {
   virtual void on_fault(std::string_view /*kind*/, int /*device*/,
                         double /*t*/) {}
   /// Topology mode only: one fabric hop of a task's flow completed. The
-  /// span [t_queued, t_end] sat on router port `port` ("dev3_ap0",
-  /// "ap0_edge0", ...); exec_start splits it into wait and serialization.
-  /// Stale-attempt hops are filtered by the simulator before this fires.
-  virtual void on_net_hop(std::uint64_t /*task*/, std::string_view /*port*/,
+  /// span [t_queued, t_end] sat on the router port with fabric-wide id
+  /// `port` (net::Fabric::port(port).name is "dev3_ap0", "ap0_edge0", ...);
+  /// exec_start splits it into wait and serialization. Stale-attempt hops
+  /// are filtered by the simulator before this fires.
+  virtual void on_net_hop(std::uint64_t /*task*/, std::uint32_t /*port*/,
                           double /*t_queued*/, double /*exec_start*/,
                           double /*t_end*/) {}
   /// Topology mode only: the fabric's final state, fired once right before
-  /// on_run_end so implementations can export per-port counters.
+  /// on_run_end so implementations can export per-port counters and name
+  /// the port ids the hop hooks carried.
   virtual void on_net_fabric(const net::Fabric& /*fabric*/, double /*t*/) {}
   /// The drain finished at `t` (last hook of a run).
   virtual void on_run_end(double /*t*/) {}
@@ -183,7 +202,7 @@ class RecordingObserver : public Observer {
 
   void on_task_generated(std::uint64_t task, int device, double t, int block,
                          bool offloaded) override;
-  void on_phase_begin(std::uint64_t task, int device, std::string_view phase,
+  void on_phase_begin(std::uint64_t task, int device, Phase phase,
                       std::string_view track, double t_queued,
                       double exec_start, int attempt) override;
   void on_phase_end(std::uint64_t task, double t) override;
@@ -196,7 +215,7 @@ class RecordingObserver : public Observer {
   void on_slot_decision(int device, double t,
                         const SlotTelemetry& telemetry) override;
   void on_fault(std::string_view kind, int device, double t) override;
-  void on_net_hop(std::uint64_t task, std::string_view port, double t_queued,
+  void on_net_hop(std::uint64_t task, std::uint32_t port, double t_queued,
                   double exec_start, double t_end) override;
   void on_net_fabric(const net::Fabric& fabric, double t) override;
   void on_run_end(double t) override;
@@ -207,16 +226,18 @@ class RecordingObserver : public Observer {
   const obs::MemoryTimeseriesSink& timeseries() const { return series_; }
   const ObsConfig& config() const { return cfg_; }
 
-  /// Attribution aggregates (inactive struct when attribution is off).
-  const obs::AttributionSummary& attribution_summary() const {
-    return attr_summary_;
-  }
+  /// Frozen attribution aggregates, classes and ports sorted by name
+  /// (inactive struct when attribution is off).
+  obs::AttributionSummary attribution_summary() const;
   /// Per-task rows; populated only with keep_waterfalls / output paths.
   const std::vector<obs::TaskWaterfall>& waterfalls() const {
     return waterfalls_;
   }
   /// Sorted unique device-class names; TaskWaterfall::cls indexes this.
   const std::vector<std::string>& class_names() const { return class_names_; }
+  /// Fabric port names by id (HopSpan::port indexes this); filled by
+  /// on_net_fabric, empty before it and without a fabric.
+  const std::vector<std::string>& port_names() const { return port_names_; }
   /// Frozen SLO stats + alert stream (inactive struct when SLO is off).
   obs::SloSummary slo_summary() const;
   /// The flight recorder, or nullptr when [provenance] is off. Attach it
@@ -311,8 +332,11 @@ class RecordingObserver : public Observer {
   std::vector<std::string> class_names_;   ///< sorted unique
   std::vector<std::size_t> device_class_;  ///< device -> class index
   std::vector<obs::PredictedComponents> last_pred_;  ///< per device
+  std::array<obs::AttrStage, kPhaseCount> phase_stage_{};  ///< by phase id
+  std::vector<std::string> port_names_;    ///< by fabric port id
   obs::LatencyLedger ledger_;
-  obs::AttributionSummary attr_summary_;
+  obs::AttributionFold attr_fold_;
+  obs::TaskWaterfall done_;  ///< completion scratch; its hops keep capacity
   std::vector<obs::TaskWaterfall> waterfalls_;
   std::unique_ptr<obs::SloMonitor> slo_;
   // Decision provenance (DESIGN.md §14). The dump stream opens lazily on

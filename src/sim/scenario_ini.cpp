@@ -38,25 +38,31 @@ obs::SloConfig parse_slo_section(const util::IniSection& section) {
                       "burn_threshold", "min_window_tasks", "alerts_out"});
 
   obs::SloConfig slo;
-  slo.deadline = util::ms(section.get_double("deadline_ms", 0.0));
+  const double deadline_ms = section.get_double("deadline_ms", 0.0);
+  if (deadline_ms < 0.0)
+    throw std::invalid_argument(
+        "[slo] deadline_ms must be >= 0 (0 disables the monitor)");
+  slo.deadline = util::ms(deadline_ms);
   // deadline_ms = 0 (or unset) disables the monitor; the remaining keys
-  // are still parsed so a disabled section fails fast on typos.
+  // are still parsed and checked so a disabled section fails fast on typos
+  // and bad values.
   slo.window = section.get_double("window_s", slo.window);
+  if (!(slo.window > 0.0))
+    throw std::invalid_argument("[slo] window_s must be positive");
   slo.target_miss_rate =
       section.get_double("target_miss_rate", slo.target_miss_rate);
+  if (!(slo.target_miss_rate > 0.0 && slo.target_miss_rate <= 1.0))
+    throw std::invalid_argument("[slo] target_miss_rate must be in (0, 1]");
   slo.burn_threshold =
       section.get_double("burn_threshold", slo.burn_threshold);
+  if (!(slo.burn_threshold > 0.0))
+    throw std::invalid_argument("[slo] burn_threshold must be positive");
   const long long min_tasks = section.get_int(
       "min_window_tasks", static_cast<long long>(slo.min_window_tasks));
   if (min_tasks < 1)
     throw std::invalid_argument("[slo] min_window_tasks must be >= 1");
   slo.min_window_tasks = static_cast<std::size_t>(min_tasks);
   slo.alerts_out = section.get("alerts_out", "");
-  try {
-    slo.validate();
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(std::string("[slo] ") + e.what());
-  }
   return slo;
 }
 
@@ -202,8 +208,16 @@ IniScenario load_scenario(const util::IniFile& ini) {
   cfg.warmup = sc.get_double("warmup", 5.0);
   cfg.seed = static_cast<std::uint64_t>(sc.get_int("seed", 42));
   cfg.reallocation_period = sc.get_double("reallocation_period", 0.0);
+  // 0 switches either feature off; a negative value is a typo, not "off".
   cfg.result_bytes = sc.get_double("result_bytes", 0.0);
+  if (cfg.result_bytes < 0.0)
+    throw std::invalid_argument(
+        "[scenario] result_bytes must be >= 0 (0 = no result return)");
   const double shared_mbps = sc.get_double("shared_uplink_mbps", 0.0);
+  if (shared_mbps < 0.0)
+    throw std::invalid_argument(
+        "[scenario] shared_uplink_mbps must be >= 0 (0 = per-device "
+        "uplinks)");
   if (shared_mbps > 0.0) cfg.shared_uplink_bw = util::mbps(shared_mbps);
 
   const auto devices = ini.all("device");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -91,44 +92,42 @@ struct ShardRole {
 
 /// One leg of a task's pipeline (DESIGN.md §16): a compute block on the
 /// device, edge or cloud tier, or a tensor/result transfer between tiers.
-/// Declared in pipeline order, so every step from kEdgeCloud on is past
-/// the point a timeout may claw the task back from.
-enum class Step : std::uint8_t {
-  kLocal1, kUpRaw, kEdge1, kUpTensor, kEdge2, kEdgeCloud, kCloud3,
-  kEdgeReturn, kCloudReturn
-};
+/// Each step opens the observer phase of the same id. Declared in pipeline
+/// order, so every step from kEdgeCloud on is past the point a timeout may
+/// claw the task back from.
+using Step = Phase;
 
 enum class Tier : std::uint8_t { kDevice, kEdge, kCloud };
 
-/// What a step is: where it runs (a compute step has from == to), what it
-/// carries and the observer phase it opens. Successors live in
-/// Simulation::next_step.
+/// What a step is: where it runs (a compute step has from == to) and what
+/// it carries. Successors live in Simulation::next_step.
 struct StepSpec {
-  const char* phase;
   Tier from, to;
   double core::MeDnnPartition::*payload;  ///< nullptr = result_bytes
   JobClass cls;                           ///< compute steps only
 };
 
+/// Indexed by Step, whose phase names live in observer.cpp (phase_name).
 constexpr StepSpec kSteps[] = {
-    {"local_block1", Tier::kDevice, Tier::kDevice,
-     &core::MeDnnPartition::mu1, JobClass::kBlock1},
-    {"uplink", Tier::kDevice, Tier::kEdge, &core::MeDnnPartition::d0,
-     JobClass::kBlock1},
-    {"edge_block1", Tier::kEdge, Tier::kEdge, &core::MeDnnPartition::mu1,
-     JobClass::kBlock1},
-    {"uplink", Tier::kDevice, Tier::kEdge, &core::MeDnnPartition::d1,
-     JobClass::kBlock1},
-    {"edge_block2", Tier::kEdge, Tier::kEdge, &core::MeDnnPartition::mu2,
-     JobClass::kBlock2},
-    {"edge_cloud_link", Tier::kEdge, Tier::kCloud,
-     &core::MeDnnPartition::d2, JobClass::kBlock1},
-    {"cloud_block3", Tier::kCloud, Tier::kCloud, &core::MeDnnPartition::mu3,
-     JobClass::kBlock3},
-    {"return_link", Tier::kEdge, Tier::kDevice, nullptr, JobClass::kBlock1},
-    {"cloud_return_link", Tier::kCloud, Tier::kDevice, nullptr,
-     JobClass::kBlock1},
+    {Tier::kDevice, Tier::kDevice, &core::MeDnnPartition::mu1,
+     JobClass::kBlock1},  // local_block1
+    {Tier::kDevice, Tier::kEdge, &core::MeDnnPartition::d0,
+     JobClass::kBlock1},  // uplink (raw input)
+    {Tier::kEdge, Tier::kEdge, &core::MeDnnPartition::mu1,
+     JobClass::kBlock1},  // edge_block1
+    {Tier::kDevice, Tier::kEdge, &core::MeDnnPartition::d1,
+     JobClass::kBlock1},  // uplink (block-1 tensor)
+    {Tier::kEdge, Tier::kEdge, &core::MeDnnPartition::mu2,
+     JobClass::kBlock2},  // edge_block2
+    {Tier::kEdge, Tier::kCloud, &core::MeDnnPartition::d2,
+     JobClass::kBlock1},  // edge_cloud_link
+    {Tier::kCloud, Tier::kCloud, &core::MeDnnPartition::mu3,
+     JobClass::kBlock3},  // cloud_block3
+    {Tier::kEdge, Tier::kDevice, nullptr, JobClass::kBlock1},  // return_link
+    {Tier::kCloud, Tier::kDevice, nullptr,
+     JobClass::kBlock1},  // cloud_return_link
 };
+static_assert(std::size(kSteps) == kPhaseCount);
 
 class Simulation {
  public:
@@ -145,6 +144,11 @@ class Simulation {
       throw std::invalid_argument("ScenarioConfig: bad reallocation_period");
     if (cfg_.timeline_window <= 0.0)
       throw std::invalid_argument("ScenarioConfig: bad timeline_window");
+    // 0 means "off" for both; negative or non-finite values are errors.
+    if (!(cfg_.result_bytes >= 0.0 && std::isfinite(cfg_.result_bytes)))
+      throw std::invalid_argument("ScenarioConfig: bad result_bytes");
+    if (!(cfg_.shared_uplink_bw >= 0.0 && std::isfinite(cfg_.shared_uplink_bw)))
+      throw std::invalid_argument("ScenarioConfig: bad shared_uplink_bw");
     cfg_.faults.validate(cfg_.devices.size());
     cfg_.topology.validate(cfg_.devices.size());
     if (cfg_.topology.enabled() && cfg_.shared_uplink_bw > 0.0)
@@ -185,7 +189,7 @@ class Simulation {
       // (attempt, task id); spans of paths the task has since abandoned
       // (failover/retry bumped the attempt) are filtered here, mirroring
       // the staleness guards on the flow completions themselves.
-      fabric_->set_hop_tap([this](std::uint64_t tag, std::string_view port,
+      fabric_->set_hop_tap([this](std::uint64_t tag, std::uint32_t port,
                                   double t_queued, double exec_start,
                                   double t_end) {
         const std::size_t id = flow_task(tag);
@@ -1058,7 +1062,7 @@ class Simulation {
       busy = link->busy_until();
     }
     if (obs_)
-      obs_->on_phase_begin(id, static_cast<int>(i), spec.phase, track, now,
+      obs_->on_phase_begin(id, static_cast<int>(i), step, track, now,
                            std::max(now, busy), att);
     auto done = [this, i, id, att, step](double t) {
       finish(i, id, att, step, t);

@@ -56,13 +56,13 @@ TEST(LatencyLedger, AssemblesWaitServiceWaterfallAndConserves) {
   EXPECT_EQ(ledger.open_tasks(), 1u);
 
   // Uplink: queued at 10.0, serialization starts at 10.4, done at 10.9.
-  ledger.on_phase_begin(7, "uplink", 10.0, 10.4);
+  ledger.on_phase_begin(7, AttrStage::kUplink, 10.0, 10.4);
   ledger.on_phase_end(7, 10.9);
   // Edge block 1: queued at 10.9, starts at 11.2, done at 11.5.
-  ledger.on_phase_begin(7, "edge_block1", 10.9, 11.2);
+  ledger.on_phase_begin(7, AttrStage::kEdgeCompute, 10.9, 11.2);
   ledger.on_phase_end(7, 11.5);
   // A gap [11.5, 11.7] with no span — becomes stall.
-  ledger.on_phase_begin(7, "return_link", 11.7, 11.7);
+  ledger.on_phase_begin(7, AttrStage::kResultReturn, 11.7, 11.7);
   ledger.on_phase_end(7, 12.0);
 
   TaskWaterfall wf;
@@ -97,9 +97,9 @@ TEST(LatencyLedger, HopSpansRefineLinkStageWait) {
 
   // Span-level exec_start only knows the first hop; two fabric hops each
   // contribute their own wait. Hops partition [0.0, 1.0] exactly.
-  ledger.on_phase_begin(1, "uplink", 0.0, 0.0);
-  ledger.on_hop(1, "dev0_ap0", 0.0, 0.1, 0.5);   // wait 0.1, service 0.4
-  ledger.on_hop(1, "ap0_edge0", 0.5, 0.8, 1.0);  // wait 0.3, service 0.2
+  ledger.on_phase_begin(1, AttrStage::kUplink, 0.0, 0.0);
+  ledger.on_hop(1, 3, 0.0, 0.1, 0.5);  // port 3: wait 0.1, service 0.4
+  ledger.on_hop(1, 0, 0.5, 0.8, 1.0);  // port 0: wait 0.3, service 0.2
   ledger.on_phase_end(1, 1.0);
 
   TaskWaterfall wf;
@@ -108,18 +108,18 @@ TEST(LatencyLedger, HopSpansRefineLinkStageWait) {
   EXPECT_NEAR(up.wait, 0.4, 1e-12);     // hop waits summed
   EXPECT_NEAR(up.service, 0.6, 1e-12);  // remainder of the span
   ASSERT_EQ(wf.hops.size(), 2u);
-  EXPECT_EQ(wf.hops[0].port, "dev0_ap0");
+  EXPECT_EQ(wf.hops[0].port, 3u);
   EXPECT_NEAR(wf.hops[0].wait, 0.1, 1e-12);
   EXPECT_NEAR(wf.hops[0].service, 0.4, 1e-12);
-  EXPECT_EQ(wf.hops[1].port, "ap0_edge0");
+  EXPECT_EQ(wf.hops[1].port, 0u);
   EXPECT_NEAR(wf.hops[1].wait, 0.3, 1e-12);
   EXPECT_NEAR(wf.hops[1].service, 0.2, 1e-12);
 
   // Hops against a compute stage (or no open span) are ignored.
   ledger.on_generated(2, 0, 0, 0.0, 1, false, {});
-  ledger.on_hop(2, "dev0_ap0", 0.0, 0.0, 1.0);  // no open span
-  ledger.on_phase_begin(2, "local_block1", 0.0, 0.2);
-  ledger.on_hop(2, "dev0_ap0", 0.0, 0.0, 1.0);  // not a link stage
+  ledger.on_hop(2, 3, 0.0, 0.0, 1.0);  // no open span
+  ledger.on_phase_begin(2, AttrStage::kLocalCompute, 0.0, 0.2);
+  ledger.on_hop(2, 3, 0.0, 0.0, 1.0);  // not a link stage
   ledger.on_phase_end(2, 1.0);
   ASSERT_TRUE(ledger.on_complete(2, 1.0, 0, true, &wf));
   EXPECT_TRUE(wf.hops.empty());
@@ -135,8 +135,8 @@ TEST(LatencyLedger, DefensiveCloseAndCompletionCloseOpenSpans) {
 
   // A begin while another span is open closes the previous one at the new
   // span's queue time (the nested cloud_return_link -> return_link case).
-  ledger.on_phase_begin(3, "cloud_return_link", 0.0, 0.0);
-  ledger.on_phase_begin(3, "return_link", 0.6, 0.6);
+  ledger.on_phase_begin(3, AttrStage::kResultReturn, 0.0, 0.0);
+  ledger.on_phase_begin(3, AttrStage::kResultReturn, 0.6, 0.6);
   // Completion with the last span still open closes it at t_complete.
   TaskWaterfall wf;
   ASSERT_TRUE(ledger.on_complete(3, 1.0, 0, true, &wf));
@@ -149,7 +149,7 @@ TEST(LatencyLedger, DefensiveCloseAndCompletionCloseOpenSpans) {
 TEST(LatencyLedger, ParkedAndUnknownTasks) {
   LatencyLedger ledger;
   ledger.on_generated(5, 0, 0, 0.0, 1, false, {});
-  ledger.on_phase_begin(5, "local_block1", 0.0, 0.0);
+  ledger.on_phase_begin(5, AttrStage::kLocalCompute, 0.0, 0.0);
   EXPECT_TRUE(ledger.on_parked(5));
   EXPECT_FALSE(ledger.on_parked(5));  // already gone
   EXPECT_EQ(ledger.open_tasks(), 0u);
@@ -157,10 +157,55 @@ TEST(LatencyLedger, ParkedAndUnknownTasks) {
   TaskWaterfall wf;
   EXPECT_FALSE(ledger.on_complete(5, 1.0, 0, true, &wf));
   // Hooks for never-registered tasks are no-ops, not crashes.
-  ledger.on_phase_begin(99, "uplink", 0.0, 0.0);
+  ledger.on_phase_begin(99, AttrStage::kUplink, 0.0, 0.0);
   ledger.on_phase_end(99, 1.0);
-  ledger.on_hop(99, "p", 0.0, 0.0, 1.0);
+  ledger.on_hop(99, 0, 0.0, 0.0, 1.0);
   EXPECT_EQ(ledger.open_tasks(), 0u);
+}
+
+// The pool, the open-addressing index and the hop arena under churn:
+// hundreds of tasks in flight, completed and parked out of order (which
+// exercises the index's backward-shift erase), each still found with its
+// own fields and hops in traversal order.
+TEST(LatencyLedger, PoolIndexAndArenaSurviveOutOfOrderChurn) {
+  LatencyLedger ledger;
+  constexpr std::uint64_t kTasks = 600;
+  for (std::uint64_t t = 0; t < kTasks; ++t) {
+    ledger.on_generated(t * 7919, 0, 0, static_cast<double>(t), 1, true, {});
+    ledger.on_phase_begin(t * 7919, AttrStage::kUplink, 1e3, 1e3);
+    for (std::uint32_t k = 0; k < t % 4; ++k)
+      ledger.on_hop(t * 7919, static_cast<std::uint32_t>(t) + k, 1e3, 1e3,
+                    1e3 + 1.0);
+  }
+  EXPECT_EQ(ledger.open_tasks(), kTasks);
+  TaskWaterfall wf;
+  std::uint64_t left = kTasks;
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t t = round; t < kTasks; t += 3) {
+      const std::uint64_t id = t * 7919;
+      if (t % 10 == 9) {
+        EXPECT_TRUE(ledger.on_parked(id));
+      } else {
+        ASSERT_TRUE(ledger.on_complete(id, 2e3, 0, true, &wf)) << t;
+        EXPECT_EQ(wf.task, id);
+        EXPECT_EQ(wf.t_arrive, static_cast<double>(t));
+        ASSERT_EQ(wf.hops.size(), t % 4) << t;
+        for (std::uint32_t k = 0; k < wf.hops.size(); ++k)
+          EXPECT_EQ(wf.hops[k].port, static_cast<std::uint32_t>(t) + k);
+      }
+      EXPECT_EQ(ledger.open_tasks(), --left);
+      EXPECT_FALSE(ledger.on_complete(id, 2e3, 0, true, &wf));
+    }
+  }
+  // Recycled slots and hop nodes start clean.
+  ledger.on_generated(1, 0, 0, 5.0, 1, false, {});
+  ASSERT_TRUE(ledger.on_complete(1, 6.0, 0, true, &wf));
+  EXPECT_TRUE(wf.hops.empty());
+  EXPECT_EQ(wf.stall, 1.0);
+  ledger.on_generated(2, 0, 0, 0.0, 1, false, {});
+  ledger.clear();
+  EXPECT_EQ(ledger.open_tasks(), 0u);
+  EXPECT_FALSE(ledger.on_parked(2));
 }
 
 TaskWaterfall make_calibrated_waterfall(bool offloaded) {
@@ -218,6 +263,10 @@ TEST(TaskWaterfall, CalibrationErrorApplicabilityRules) {
   EXPECT_FALSE(unpredicted.calibration_error(CalibComponent::kUplink, &err));
 }
 
+// Port names by id for the synthetic hops below: id 1 is "ap0_edge0".
+constexpr std::uint32_t kEdgePort = 1;
+const std::vector<std::string> kPortNames = {"dev0_ap0", "ap0_edge0"};
+
 TaskWaterfall simple_waterfall(std::uint64_t task, double wait,
                                double service) {
   TaskWaterfall wf;
@@ -226,15 +275,20 @@ TaskWaterfall simple_waterfall(std::uint64_t task, double wait,
   auto& up = wf.stages[static_cast<std::size_t>(AttrStage::kUplink)];
   up = {wait, service};
   wf.e2e = wait + service;
-  wf.hops.push_back({"ap0_edge0", wait, service});
+  wf.hops.push_back({kEdgePort, wait, service});
   return wf;
 }
 
-TEST(AttributionSummary, AddSortsClassesAndSumsStagesAndPorts) {
-  AttributionSummary all;
-  all.add(simple_waterfall(1, 0.1, 0.4), "sensor");
-  all.add(simple_waterfall(2, 0.3, 0.2), "sensor");
-  all.add(make_calibrated_waterfall(true), "camera");
+TEST(AttributionFold, FreezeSortsClassesAndSumsStagesAndPorts) {
+  // Class index 0 is "sensor", 1 is "camera": freeze orders by name.
+  const std::vector<std::string> classes = {"sensor", "camera"};
+  AttributionFold fold(classes.size());
+  fold.add(simple_waterfall(1, 0.1, 0.4));
+  fold.add(simple_waterfall(2, 0.3, 0.2));
+  auto camera_wf = make_calibrated_waterfall(true);
+  camera_wf.cls = 1;
+  fold.add(camera_wf);
+  const AttributionSummary all = fold.freeze(classes, kPortNames);
 
   EXPECT_TRUE(all.active);
   EXPECT_EQ(all.tasks, 3u);
@@ -246,7 +300,7 @@ TEST(AttributionSummary, AddSortsClassesAndSumsStagesAndPorts) {
   const auto up_idx = static_cast<std::size_t>(AttrStage::kUplink);
   EXPECT_NEAR(all.classes[1].stages[up_idx].wait, 0.4, 1e-12);
   EXPECT_NEAR(all.classes[1].stages[up_idx].service, 0.6, 1e-12);
-  ASSERT_EQ(all.ports.size(), 1u);
+  ASSERT_EQ(all.ports.size(), 1u);  // port 0 carried no span
   EXPECT_EQ(all.ports[0].first, "ap0_edge0");
   EXPECT_EQ(all.ports[0].second.spans, 2u);
   EXPECT_NEAR(all.ports[0].second.wait, 0.4, 1e-12);
@@ -265,10 +319,50 @@ TEST(AttributionSummary, AddSortsClassesAndSumsStagesAndPorts) {
             std::string::npos);
 }
 
+// Ports sort by name, not by id, and ids the name table does not cover
+// keep a stable fallback label.
+TEST(AttributionFold, PortsSortByNameAndUnnamedIdsGetALabel) {
+  AttributionFold fold(1);
+  TaskWaterfall wf = simple_waterfall(1, 0.1, 0.2);
+  wf.hops = {{4, 0.1, 0.0}, {1, 0.0, 0.2}, {0, 0.0, 0.0}};
+  fold.add(wf);
+  const AttributionSummary s = fold.freeze({"default"}, kPortNames);
+  ASSERT_EQ(s.ports.size(), 3u);
+  EXPECT_EQ(s.ports[0].first, "ap0_edge0");
+  EXPECT_EQ(s.ports[1].first, "dev0_ap0");
+  EXPECT_EQ(s.ports[2].first, "port4");
+  EXPECT_EQ(port_label(1, kPortNames), "ap0_edge0");
+  EXPECT_EQ(port_label(7, {}), "port7");
+}
+
+// The buckets add() reports are the ones an equal-geometry histogram
+// computes, and the calibration errors match calibration_error().
+TEST(AttributionFold, FoldedBucketsMatchAFreshHistogram) {
+  AttributionFold fold(1);
+  TaskWaterfall wf = make_calibrated_waterfall(true);
+  wf.e2e = 0.9;
+  wf.stall = 0.05;
+  FoldedWaterfall f;
+  fold.add(wf, &f);
+  const Histogram h(attr_latency_buckets());
+  const auto up = static_cast<std::size_t>(AttrStage::kUplink);
+  EXPECT_EQ(f.wait_bucket[up], h.bucket(0.1));
+  EXPECT_EQ(f.service_bucket[up], h.bucket(0.25));
+  EXPECT_EQ(f.e2e_bucket, h.bucket(0.9));
+  EXPECT_EQ(f.stall_bucket, h.bucket(0.05));
+  for (int ci = 0; ci < kCalibComponentCount; ++ci) {
+    double err = 0.0;
+    const bool applies =
+        wf.calibration_error(static_cast<CalibComponent>(ci), &err);
+    EXPECT_EQ((f.calibrated >> ci & 1u) != 0, applies) << ci;
+    if (applies) EXPECT_EQ(f.calib_err[static_cast<std::size_t>(ci)], err);
+  }
+}
+
 TEST(AttributionSummary, JsonShape) {
-  AttributionSummary s;
-  s.active = true;
-  s.add(make_calibrated_waterfall(true), "camera");
+  AttributionFold fold(1);
+  fold.add(make_calibrated_waterfall(true));
+  const AttributionSummary s = fold.freeze({"camera"}, {});
   std::ostringstream out;
   s.to_json(out);
   const std::string text = out.str();
@@ -289,7 +383,7 @@ TEST(AttributionFiles, WaterfallJsonlAndCalibrationCsv) {
   const std::vector<std::string> names = {"default"};
 
   std::ostringstream jsonl;
-  write_waterfalls_jsonl(jsonl, rows, names);
+  write_waterfalls_jsonl(jsonl, rows, names, kPortNames);
   const std::string text = jsonl.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
   EXPECT_NE(text.find("\"task\":4"), std::string::npos);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace leime::obs {
 namespace {
@@ -59,6 +63,48 @@ TEST(Histogram, UnderflowAndOverflowBuckets) {
   EXPECT_DOUBLE_EQ(h.stats().max(), 1e6);
   EXPECT_DOUBLE_EQ(h.upper_bound(0), 10.0);
   EXPECT_NEAR(h.upper_bound(1), 100.0, 1e-9);
+}
+
+// bucket() skips the log for values away from an edge; it must still name
+// exactly the bucket of the formula it replaces, at the edges (and a few
+// ULPs either side), at the bounds and across each geometry in between.
+TEST(Histogram, BucketMatchesTheLogFormulaEverywhere) {
+  const HistogramOptions geometries[] = {
+      {1e-6, 1e3, 54}, {1e-2, 1e4, 36}, {1e-3, 1.0, 30},
+      {0.37, 9.1, 7},  {1.0, 1.01, 50}, {1e-300, 1e300, 20},
+      {2.0, 3.0, 1}};
+  for (const auto& g : geometries) {
+    const Histogram h(g);
+    const double log_min = std::log(g.min_bound);
+    const double log_growth = (std::log(g.max_bound) - log_min) / g.buckets;
+    const auto by_formula = [&](double v) -> std::size_t {
+      if (v < g.min_bound) return 0;
+      if (v >= g.max_bound) return static_cast<std::size_t>(g.buckets) + 1;
+      const int b = static_cast<int>((std::log(v) - log_min) / log_growth);
+      return static_cast<std::size_t>(std::clamp(b, 0, g.buckets - 1)) + 1;
+    };
+    std::vector<double> probes = {0.0, -1.0, g.min_bound, g.max_bound,
+                                  std::numeric_limits<double>::infinity()};
+    for (int b = 0; b <= g.buckets; ++b) {
+      double edge = std::exp(log_min + log_growth * b);
+      double down = edge, up = edge;
+      for (int k = 0; k < 6; ++k) {
+        probes.push_back(up);
+        probes.push_back(down);
+        up = std::nextafter(up, HUGE_VAL);
+        down = std::nextafter(down, -HUGE_VAL);
+      }
+      probes.push_back(edge * (1.0 + 1e-9));
+      probes.push_back(edge * (1.0 - 1e-9));
+    }
+    for (int i = 0; i <= 20000; ++i)
+      probes.push_back(std::exp(log_min - 1.0 +
+                                (log_growth * g.buckets + 2.0) * i / 20000.0));
+    for (const double v : probes)
+      ASSERT_EQ(h.bucket(v), by_formula(v))
+          << "v=" << v << " geometry [" << g.min_bound << ", " << g.max_bound
+          << ") x" << g.buckets;
+  }
 }
 
 TEST(Histogram, QuantileExactAtExtremesMonotoneInside) {

@@ -372,6 +372,122 @@ TEST(Attribution, ConservesEndToEndLatencyInTheWild) {
   EXPECT_EQ(sum.classes[1].name, "yard");
 }
 
+// Completion folds straight into the dense accumulators and builds a row
+// only when rows are kept, so the two paths are checked against each
+// other: the same wild run with and without kept rows freezes to the same
+// summary bytes and the same metrics text, and the summary's per-port span
+// counts add up to the kept rows' hops.
+TEST(Attribution, SummaryIsTheSameWithAndWithoutKeptRows) {
+  auto scenario =
+      load_scenario_file(std::string(LEIME_CONFIG_DIR) + "/wild_topology.ini");
+  auto cfg = scenario.config;
+  cfg.result_bytes = 64000.0;  // exercise the duplex result-return legs
+  const std::vector<std::string> classes = {"gate", "gate", "gate",
+                                            "yard", "yard", "yard"};
+  ASSERT_EQ(cfg.devices.size(), classes.size());
+  struct Out {
+    std::string summary, metrics;
+    std::uint64_t port_spans = 0, row_hops = 0;
+    std::size_t rows = 0;
+  };
+  const auto run = [&](bool keep_rows) {
+    ObsConfig obs_cfg;
+    obs_cfg.attribution = true;
+    obs_cfg.metrics = true;
+    obs_cfg.keep_waterfalls = keep_rows;
+    RecordingObserver obs(obs_cfg, cfg.devices.size(), classes);
+    auto run_cfg = cfg;
+    run_cfg.observer = &obs;
+    run_scenario(run_cfg);
+    Out out;
+    const auto sum = obs.attribution_summary();
+    std::ostringstream json, prom;
+    sum.to_json(json);
+    obs.registry().snapshot().to_prometheus(prom);
+    out.summary = json.str();
+    out.metrics = prom.str();
+    for (const auto& [port, pa] : sum.ports) out.port_spans += pa.spans;
+    for (const auto& wf : obs.waterfalls()) out.row_hops += wf.hops.size();
+    out.rows = obs.waterfalls().size();
+    return out;
+  };
+  const Out kept = run(true);
+  const Out folded = run(false);
+  EXPECT_GT(kept.rows, 100u);
+  EXPECT_EQ(folded.rows, 0u);
+  EXPECT_EQ(kept.summary, folded.summary);
+  EXPECT_EQ(kept.metrics, folded.metrics);
+  EXPECT_NE(kept.metrics.find("leime_attr_uplink_wait_seconds_count"),
+            std::string::npos);
+  EXPECT_GT(kept.row_hops, 0u);
+  EXPECT_EQ(kept.port_spans, kept.row_hops);
+  EXPECT_EQ(folded.port_spans, kept.row_hops);
+}
+
+// The simulator filters fabric hops of abandoned attempts before they reach
+// an observer. With wild_topology's AP queue limit lifted and its outage
+// lengthened to 30 s, the outage holds raw uploads past task_timeout_s
+// (instead of dropping them), so retried tasks leave stale flows in the
+// fabric that deliver when the AP returns; every hop that does arrive must
+// lie inside the task's open link phase.
+class HopWindowObserver : public Observer {
+ public:
+  void on_phase_begin(std::uint64_t task, int, Phase phase, std::string_view,
+                      double t_queued, double, int) override {
+    open_[task] = {phase, t_queued};
+  }
+  void on_phase_end(std::uint64_t task, double) override { open_.erase(task); }
+  void on_phase_abort(std::uint64_t task, double, std::string_view) override {
+    open_.erase(task);
+  }
+  void on_task_complete(std::uint64_t task, int, double, double, int, int,
+                        bool) override {
+    open_.erase(task);
+  }
+  void on_task_parked(std::uint64_t task, int, double) override {
+    open_.erase(task);
+  }
+  void on_net_hop(std::uint64_t task, std::uint32_t, double t_queued, double,
+                  double t_end) override {
+    ++hops;
+    const auto it = open_.find(task);
+    if (it == open_.end()) {
+      ++without_phase;
+      return;
+    }
+    const obs::AttrStage stage =
+        obs::attr_stage_for_phase(phase_name(it->second.phase));
+    if (!obs::attr_stage_is_link(stage)) ++off_link;
+    if (!(it->second.t_queued <= t_queued && t_queued <= t_end)) ++outside;
+  }
+
+  std::uint64_t hops = 0, without_phase = 0, off_link = 0, outside = 0;
+
+ private:
+  struct Open {
+    Phase phase;
+    double t_queued;
+  };
+  std::map<std::uint64_t, Open> open_;
+};
+
+TEST(Attribution, StaleHopsNeverReachTheObserver) {
+  auto scenario =
+      load_scenario_file(std::string(LEIME_CONFIG_DIR) + "/wild_topology.ini");
+  auto cfg = scenario.config;
+  cfg.result_bytes = 64000.0;
+  cfg.faults.ap_windows = {{60.0, 90.0, 0}};
+  cfg.topology.queue_limit_bytes = 0.0;
+  HopWindowObserver obs;
+  cfg.observer = &obs;
+  const auto r = run_scenario(cfg);
+  ASSERT_GT(r.faults.retries, 0u);  // timeouts stranded held flows
+  EXPECT_GT(obs.hops, 0u);
+  EXPECT_EQ(obs.without_phase, 0u);
+  EXPECT_EQ(obs.off_link, 0u);
+  EXPECT_EQ(obs.outside, 0u);
+}
+
 // Hook-level edge cases: an abort with no open phase is a no-op, parked
 // tasks drop their ledger entry (no waterfall, counted incomplete), and
 // tasks still open at run end are incomplete too.
@@ -383,17 +499,17 @@ TEST(Attribution, LedgerToleratesAbortsAndParksViaHooks) {
   obs.on_phase_abort(99, 1.0, "timeout");  // unknown task, nothing open
 
   obs.on_task_generated(1, 0, 0.5, 1, true);
-  obs.on_phase_begin(1, 0, "uplink", "device0/tx", 0.5, 0.5, 0);
+  obs.on_phase_begin(1, 0, Phase::kUpRaw, "device0/tx", 0.5, 0.5, 0);
   obs.on_phase_abort(1, 1.0, "edge_crash");
   obs.on_phase_abort(1, 1.0, "edge_crash");  // second abort: nothing open
   obs.on_task_parked(1, 0, 1.0);
 
   obs.on_task_generated(2, 0, 1.5, 1, false);
-  obs.on_phase_begin(2, 0, "local_block1", "device0/cpu", 1.5, 1.5, 0);
+  obs.on_phase_begin(2, 0, Phase::kLocal1, "device0/cpu", 1.5, 1.5, 0);
   // ... run ends with task 2 still computing.
 
   obs.on_task_generated(3, 0, 2.0, 1, false);
-  obs.on_phase_begin(3, 0, "local_block1", "device0/cpu", 2.0, 2.2, 0);
+  obs.on_phase_begin(3, 0, Phase::kLocal1, "device0/cpu", 2.0, 2.2, 0);
   obs.on_phase_end(3, 2.5);
   obs.on_task_complete(3, 0, 2.0, 2.5, 1, 0, true);
   obs.on_run_end(3.0);

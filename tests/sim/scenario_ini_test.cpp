@@ -162,6 +162,53 @@ TEST(ScenarioIni, RuntimeSectionRejectsUnknownKeys) {
                   "[runtime] unknown key 'thread' (valid keys: threads");
 }
 
+// kFleet with `lines` added to its [scenario] section.
+std::string fleet_with_scenario_keys(const std::string& lines) {
+  std::string text = kFleet;
+  const std::string anchor = "seed = 5\n";
+  text.insert(text.find(anchor) + anchor.size(), lines);
+  return text;
+}
+
+// 0 means "off" for these keys; a negative value is an error that names
+// the section and key instead of silently switching the feature off.
+TEST(ScenarioIni, NegativeResultBytesIsRejectedByName) {
+  expect_rejected(fleet_with_scenario_keys("result_bytes = -5\n"),
+                  "[scenario] result_bytes must be >= 0");
+  const auto off = load_scenario(util::IniFile::parse_string(
+      fleet_with_scenario_keys("result_bytes = 0\n")));
+  EXPECT_EQ(off.config.result_bytes, 0.0);
+}
+
+TEST(ScenarioIni, NegativeSharedUplinkIsRejectedByName) {
+  expect_rejected(fleet_with_scenario_keys("shared_uplink_mbps = -10\n"),
+                  "[scenario] shared_uplink_mbps must be >= 0");
+  const auto off = load_scenario(util::IniFile::parse_string(
+      fleet_with_scenario_keys("shared_uplink_mbps = 0\n")));
+  EXPECT_EQ(off.config.shared_uplink_bw, 0.0);
+}
+
+TEST(ScenarioIni, NegativeSloDeadlineIsRejectedByName) {
+  expect_rejected(std::string(kFleet) + "[slo]\ndeadline_ms = -1500\n",
+                  "[slo] deadline_ms must be >= 0");
+  const auto off = load_scenario(util::IniFile::parse_string(
+      std::string(kFleet) + "[slo]\ndeadline_ms = 0\n"));
+  EXPECT_FALSE(off.config.obs.slo.enabled());
+}
+
+// A present [slo] section is checked whole even while deadline_ms = 0
+// keeps the monitor off, and each error names its key.
+TEST(ScenarioIni, DisabledSloSectionStillChecksItsKeys) {
+  const std::string off = std::string(kFleet) + "[slo]\ndeadline_ms = 0\n";
+  expect_rejected(off + "window_s = 0\n", "[slo] window_s must be positive");
+  expect_rejected(off + "target_miss_rate = 1.5\n",
+                  "[slo] target_miss_rate must be in (0, 1]");
+  expect_rejected(off + "burn_threshold = -1\n",
+                  "[slo] burn_threshold must be positive");
+  expect_rejected(std::string(kFleet) + "[slo]\nwindow_s = -3\n",
+                  "[slo] window_s must be positive");
+}
+
 TEST(ScenarioIni, RepeatedOptionalSectionIsRejected) {
   // find() would take the first of several and drop the rest unread.
   for (const char* name : {"faults", "topology", "observability", "slo",

@@ -202,6 +202,27 @@ TEST(Simulation, DynamicReallocationTracksLoadSwap) {
   EXPECT_LE(dynamic.tct.mean, fixed.tct.mean * 1.05);
 }
 
+TEST(Simulation, NegativeOrNonFiniteResultBytesAndSharedUplinkAreRejected) {
+  // 0 switches either feature off; a negative value used to do the same,
+  // silently. Built in code, the config must fail like a bad duration.
+  const double bad[] = {-5.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    auto cfg = base_scenario();
+    cfg.result_bytes = v;
+    EXPECT_THROW(run_scenario(cfg), std::invalid_argument)
+        << "result_bytes " << v;
+    cfg = base_scenario();
+    cfg.shared_uplink_bw = v;
+    EXPECT_THROW(run_scenario(cfg), std::invalid_argument)
+        << "shared_uplink_bw " << v;
+  }
+  auto off = base_scenario();
+  off.result_bytes = 0.0;
+  off.shared_uplink_bw = 0.0;
+  EXPECT_NO_THROW(run_scenario(off));
+}
+
 TEST(Simulation, ReallocationValidation) {
   auto cfg = base_scenario();
   cfg.reallocation_period = -1.0;
