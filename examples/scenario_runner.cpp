@@ -41,8 +41,10 @@ warmup = 5
 seed = 42
 replications = 1         # >1 reports mean +/- stddev across seeds
 reallocation_period = 0  # >0 re-runs the edge KKT allocation every N seconds
-shared_uplink_mbps = 0   # >0 puts all devices on one shared WiFi AP; <0 is an error
-result_bytes = 0         # >0 models result return over the downlink; <0 is an error
+shared_uplink_mbps = 0   # >0 puts all devices on one shared WiFi AP
+                         # (<0 is an error)
+result_bytes = 0         # >0 models result return over the downlink
+                         # (<0 is an error)
 
 [edge]
 gflops = 50

@@ -43,8 +43,9 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== zero-alloc: EventQueue and attribution steady-state gates =="
+./build/tests/sim_test --gtest_filter='EventQueueAlloc.*'
 ./build/tests/sim_test \
-  --gtest_filter='EventQueueAlloc.*:AttributionAlloc.SteadyStateTaskAllocatesNothing'
+  --gtest_filter='AttributionAlloc.SteadyStateTaskAllocatesNothing'
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test

@@ -279,23 +279,13 @@ bool LatencyLedger::on_complete(std::uint64_t task, double t_complete,
   return true;
 }
 
-void LatencyLedger::clear() {
-  pool_.clear();
-  free_entry_ = kNone;
-  hops_.clear();
-  free_hop_ = kNone;
-  index_.assign(index_.size(), Position{});
-  open_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // AttributionFold
 
 AttributionFold::AttributionFold(std::size_t classes) : classes_(classes) {}
 
-void AttributionFold::add(const TaskWaterfall& wf, FoldedWaterfall* out) {
-  FoldedWaterfall scratch;
-  FoldedWaterfall& f = out ? *out : scratch;
+FoldedWaterfall AttributionFold::add(const TaskWaterfall& wf) {
+  FoldedWaterfall f;
   ++tasks_;
   AttributionSummary::ClassAccum& c = classes_[wf.cls];
   ++c.tasks;
@@ -322,7 +312,6 @@ void AttributionFold::add(const TaskWaterfall& wf, FoldedWaterfall* out) {
     p.wait += hop.wait;
     p.service += hop.service;
   }
-  f.calibrated = 0;
   for (int ci = 0; ci < kCalibComponentCount; ++ci) {
     double err = 0.0;
     if (!wf.calibration_error(static_cast<CalibComponent>(ci), &err)) continue;
@@ -335,6 +324,7 @@ void AttributionFold::add(const TaskWaterfall& wf, FoldedWaterfall* out) {
     ca.max_abs_err = std::max(ca.max_abs_err, std::abs(err));
   }
   if (f.calibrated) ++calibrated_;
+  return f;
 }
 
 AttributionSummary AttributionFold::freeze(

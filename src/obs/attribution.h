@@ -181,8 +181,8 @@ class LatencyLedger {
                    bool counted, TaskWaterfall* out);
 
   std::size_t open_tasks() const { return open_; }
-  /// Drops every entry; the pool, index and arena keep their capacity.
-  void clear();
+  /// Drops every entry and frees the pool, the index and the arena.
+  void clear() { *this = LatencyLedger{}; }
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -310,10 +310,9 @@ class AttributionFold {
   /// `classes` = the number of class indices add() will see.
   explicit AttributionFold(std::size_t classes);
 
-  /// Folds one completed waterfall in (wf.cls < classes). `out`, when
-  /// given, receives the buckets and calibration errors computed on the
-  /// way.
-  void add(const TaskWaterfall& wf, FoldedWaterfall* out = nullptr);
+  /// Folds one completed waterfall in (wf.cls < classes) and returns the
+  /// buckets and calibration errors computed on the way.
+  FoldedWaterfall add(const TaskWaterfall& wf);
 
   /// Counts ledger entries that never completed (parked, open at run end).
   void add_incomplete(std::uint64_t n) { incomplete_ += n; }

@@ -70,7 +70,8 @@ RecordingObserver::RecordingObserver(ObsConfig config, std::size_t num_devices,
         class_names_.begin()));
   if (attr_on_) {
     for (std::size_t p = 0; p < kPhaseCount; ++p)
-      phase_stage_[p] = obs::attr_stage_for_phase(phase_name(static_cast<Phase>(p)));
+      phase_stage_[p] =
+          obs::attr_stage_for_phase(phase_name(static_cast<Phase>(p)));
     attr_fold_ = obs::AttributionFold(class_names_.size());
   }
   if (cfg_.slo.enabled())
@@ -291,8 +292,7 @@ void RecordingObserver::on_task_complete(std::uint64_t task, int device,
       ledger_.on_complete(task, t_complete, retries, counted, &done_)) {
     // The fold computes each value's bucket once; the metrics histograms
     // share its geometry and reuse the indices.
-    obs::FoldedWaterfall folded;
-    attr_fold_.add(done_, &folded);
+    const obs::FoldedWaterfall folded = attr_fold_.add(done_);
     if (metrics_on_) {
       if (counted)
         h_tct_->observe_at(
@@ -533,8 +533,10 @@ void RecordingObserver::on_run_end(double t) {
     if (open > 0) {
       attr_fold_.add_incomplete(open);
       if (metrics_on_) c_attr_incomplete_->inc(open);
-      ledger_.clear();
     }
+    // The drain is over: free the in-flight storage before finalize and
+    // the exports allocate.
+    ledger_.clear();
   }
   if (prov_) {
     if (metrics_on_) {

@@ -236,7 +236,8 @@ class RecordingObserver : public Observer {
   /// Sorted unique device-class names; TaskWaterfall::cls indexes this.
   const std::vector<std::string>& class_names() const { return class_names_; }
   /// Fabric port names by id (HopSpan::port indexes this); filled by
-  /// on_net_fabric, empty before it and without a fabric.
+  /// on_net_fabric when attribution is on, empty before it and without a
+  /// fabric.
   const std::vector<std::string>& port_names() const { return port_names_; }
   /// Frozen SLO stats + alert stream (inactive struct when SLO is off).
   obs::SloSummary slo_summary() const;

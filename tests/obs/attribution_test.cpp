@@ -342,8 +342,7 @@ TEST(AttributionFold, FoldedBucketsMatchAFreshHistogram) {
   TaskWaterfall wf = make_calibrated_waterfall(true);
   wf.e2e = 0.9;
   wf.stall = 0.05;
-  FoldedWaterfall f;
-  fold.add(wf, &f);
+  const FoldedWaterfall f = fold.add(wf);
   const Histogram h(attr_latency_buckets());
   const auto up = static_cast<std::size_t>(AttrStage::kUplink);
   EXPECT_EQ(f.wait_bucket[up], h.bucket(0.1));
