@@ -243,48 +243,6 @@ void Histogram::absorb(const std::vector<std::uint64_t>& counts,
 
 // -------------------------------------------------------------- Snapshot
 
-namespace {
-
-template <typename Sample, typename Fold>
-void merge_sorted(std::vector<Sample>& into, const std::vector<Sample>& from,
-                  const Fold& fold) {
-  for (const auto& sample : from) {
-    auto it = std::lower_bound(
-        into.begin(), into.end(), sample,
-        [](const Sample& a, const Sample& b) { return a.name < b.name; });
-    if (it != into.end() && it->name == sample.name)
-      fold(*it, sample);
-    else
-      into.insert(it, sample);
-  }
-}
-
-}  // namespace
-
-void Snapshot::merge(const Snapshot& other) {
-  merge_sorted(counters, other.counters,
-               [](CounterSample& a, const CounterSample& b) {
-                 a.value += b.value;
-               });
-  merge_sorted(gauges, other.gauges, [](GaugeSample& a, const GaugeSample& b) {
-    a.value = b.value;  // last-merged wins (deterministic in merge order)
-  });
-  merge_sorted(histograms, other.histograms,
-               [](HistogramSample& a, const HistogramSample& b) {
-                 if (!(a.options == b.options) ||
-                     a.counts.size() != b.counts.size())
-                   throw std::invalid_argument(
-                       "Snapshot::merge: histogram geometry mismatch for " +
-                       a.name);
-                 for (std::size_t i = 0; i < a.counts.size(); ++i)
-                   a.counts[i] += b.counts[i];
-                 a.stats.merge(b.stats);
-                 a.p50 = histogram_quantile(a.options, a.counts, a.stats, 0.50);
-                 a.p95 = histogram_quantile(a.options, a.counts, a.stats, 0.95);
-                 a.p99 = histogram_quantile(a.options, a.counts, a.stats, 0.99);
-               });
-}
-
 void Snapshot::to_prometheus(std::ostream& out) const {
   for (const auto& c : counters) {
     if (!c.help.empty())

@@ -1,19 +1,19 @@
 // Metrics registry: counters, gauges and fixed-bucket log-scale histograms
-// with deterministic snapshot/merge semantics.
+// with deterministic snapshot/absorb semantics.
 //
 // The registry is the first pillar of the observability layer (DESIGN.md
 // §8): simulator and runtime code register named instruments once and bump
 // them on the hot path; a Snapshot freezes the registry into plain data
-// that can ride inside a SimResult/RunRecord, merge with other shards, and
-// export as Prometheus text or JSONL.
+// that can ride inside a SimResult/RunRecord, fold into another registry
+// (MetricsRegistry::absorb), and export as Prometheus text or JSONL.
 //
 // Determinism contract: a Snapshot is a pure function of the sequence of
-// instrument updates, and Snapshot::merge is associative over shards as
-// long as they are merged in a fixed order (the runtime merges per-cell
-// snapshots in plan order, so 1 and 4 executor threads export identical
-// text). Histograms use exact integer bucket counts plus a
-// util::RunningStats moment accumulator whose parallel-merge is the same
-// bit pattern for a fixed merge order.
+// instrument updates, and absorbing snapshots is deterministic as long as
+// they are absorbed in a fixed order (the runtime folds per-cell snapshots
+// in plan order, so 1 and 4 executor threads export identical text).
+// Histograms use exact integer bucket counts plus a util::RunningStats
+// moment accumulator whose parallel-merge is the same bit pattern for a
+// fixed merge order.
 //
 // Metric names must match ^leime_[a-z0-9_]+$ (enforced at registration,
 // linted in CI by scripts/lint_metric_names.sh).
@@ -156,12 +156,6 @@ struct Snapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 
-  /// Merges `other` into this snapshot: counters add, histogram buckets and
-  /// moments combine, gauges take `other`'s value (last-merged wins, which
-  /// is deterministic for a fixed merge order). Metrics present in only one
-  /// side are kept. Throws on histogram geometry mismatch.
-  void merge(const Snapshot& other);
-
   /// Prometheus text exposition (HELP/TYPE lines, cumulative `le` buckets,
   /// _sum/_count). Deterministic: util::num doubles, name order.
   void to_prometheus(std::ostream& out) const;
@@ -173,7 +167,7 @@ struct Snapshot {
 /// Name -> instrument registry. Registration returns a stable reference;
 /// re-registering the same name returns the existing instrument (kind and,
 /// for histograms, geometry must match — std::invalid_argument otherwise).
-/// Not thread-safe: shard one registry per thread and merge snapshots.
+/// Not thread-safe: shard one registry per thread and absorb snapshots.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const std::string& help = "");
@@ -187,8 +181,11 @@ class MetricsRegistry {
   }
 
   /// Folds a snapshot's values back into this registry's instruments
-  /// (creating them as needed) — how the executor's per-thread shards and
-  /// per-cell results accumulate into one caller-owned registry.
+  /// (creating them as needed): counters add, histogram buckets add and
+  /// moments merge, gauges take the snapshot's value (the last absorbed
+  /// wins, deterministic for a fixed order). Throws on a kind or histogram
+  /// geometry mismatch. How per-shard and per-cell results accumulate into
+  /// one registry.
   void absorb(const Snapshot& snap);
 
  private:

@@ -199,10 +199,9 @@ void write_chrome_trace(const std::string& path,
 }
 
 obs::Snapshot merged_metrics(const std::vector<RunRecord>& records) {
-  obs::Snapshot merged;
-  for (const auto& rec : records)
-    if (!rec.result.metrics.empty()) merged.merge(rec.result.metrics);
-  return merged;
+  obs::MetricsRegistry merged;
+  for (const auto& rec : records) merged.absorb(rec.result.metrics);
+  return merged.snapshot();
 }
 
 void write_metrics_prometheus(const std::string& path,

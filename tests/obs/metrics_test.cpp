@@ -198,8 +198,10 @@ TEST(Snapshot, MergeSemanticsPerKind) {
   a.histogram("leime_h", "", {1e-2, 1e2, 8}).observe(0.5);
   b.histogram("leime_h", "", {1e-2, 1e2, 8}).observe(5.0);
 
-  Snapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
+  MetricsRegistry fold;
+  fold.absorb(a.snapshot());
+  fold.absorb(b.snapshot());
+  const Snapshot merged = fold.snapshot();
   ASSERT_EQ(merged.counters.size(), 2u);
   EXPECT_EQ(merged.counters[0].value, 7u);   // leime_c adds
   EXPECT_EQ(merged.counters[1].value, 1u);   // only-in-b kept
@@ -213,13 +215,14 @@ TEST(Snapshot, MergeGeometryMismatchThrows) {
   MetricsRegistry a, b;
   a.histogram("leime_h", "", {1e-2, 1e2, 8});
   b.histogram("leime_h", "", {1e-2, 1e2, 9});
-  Snapshot merged = a.snapshot();
-  EXPECT_THROW(merged.merge(b.snapshot()), std::invalid_argument);
+  MetricsRegistry fold;
+  fold.absorb(a.snapshot());
+  EXPECT_THROW(fold.absorb(b.snapshot()), std::invalid_argument);
 }
 
-// The determinism contract: merging frozen snapshots must export the same
-// bytes as observing the combined stream in one registry.
-// Merging shard snapshots in a fixed order is byte-deterministic, and all
+// The determinism contract: absorbing frozen snapshots must export the
+// same bytes as observing the combined stream in one registry.
+// Absorbing shard snapshots in a fixed order is byte-deterministic, and all
 // integer-valued state (counter values, bucket counts, observation count)
 // matches a single combined stream exactly. The Welford-tracked sum may
 // legitimately differ from the sequential stream in the last ulps — float
@@ -234,10 +237,14 @@ TEST(Snapshot, ShardMergeDeterministicAndMatchesCombinedStream) {
     shard.counter("leime_n").inc();
     shard.histogram("leime_v").observe(v);
   }
-  Snapshot merged = s1.snapshot();
-  merged.merge(s2.snapshot());
-  Snapshot again = s1.snapshot();
-  again.merge(s2.snapshot());
+  const auto fold = [&] {
+    MetricsRegistry into;
+    into.absorb(s1.snapshot());
+    into.absorb(s2.snapshot());
+    return into.snapshot();
+  };
+  const Snapshot merged = fold();
+  const Snapshot again = fold();
   std::ostringstream a, b;
   merged.to_prometheus(a);
   again.to_prometheus(b);
