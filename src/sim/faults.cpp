@@ -5,10 +5,7 @@
 #include <climits>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
-
-#include "util/output.h"
 
 namespace leime::sim {
 
@@ -29,10 +26,6 @@ void check_window(const FaultWindow& w, const char* what, bool allow_open) {
                                 ": open-ended windows are only allowed for "
                                 "edge crashes (use a finite end)");
 }
-
-// util::num, with +inf spelled the way parse_num reads it back (printf may
-// spell it "infinity").
-std::string num(double v) { return v == kInf ? "inf" : util::num(v); }
 
 double parse_num(const std::string& text, const std::string& key) {
   if (text == "inf") return kInf;
@@ -123,14 +116,6 @@ ChurnEvent parse_churn_event(const std::string& item) {
   const auto rejoin_text = body.substr(dash + 1);
   e.rejoin = rejoin_text.empty() ? -1.0 : parse_num(rejoin_text, "churn");
   return e;
-}
-
-std::string window_to_string(const FaultWindow& w, char scope_prefix = 'd') {
-  std::string out;
-  if (w.device >= 0) out += scope_prefix + std::to_string(w.device) + ":";
-  out += num(w.start) + "-";
-  if (std::isfinite(w.end)) out += num(w.end);
-  return out;
 }
 
 }  // namespace
@@ -318,47 +303,6 @@ FaultPlan parse_faults_section(const util::IniSection& section) {
       section.get_double("retry_backoff_s", deg.retry_backoff);
   deg.probe_period = section.get_double("probe_period_s", deg.probe_period);
   return plan;
-}
-
-std::string serialize_faults_ini(const FaultPlan& plan) {
-  std::ostringstream os;
-  os << "[faults]\n";
-  auto windows_line = [&](const char* key,
-                          const std::vector<FaultWindow>& windows) {
-    if (windows.empty()) return;
-    os << key << " = ";
-    for (std::size_t i = 0; i < windows.size(); ++i)
-      os << (i ? "," : "") << window_to_string(windows[i]);
-    os << "\n";
-  };
-  windows_line("link_outage_windows", plan.link.windows);
-  os << "link_outage_rate = " << num(plan.link.rate) << "\n"
-     << "link_outage_mean_s = " << num(plan.link.mean_duration) << "\n";
-  windows_line("edge_down_windows", plan.edge.windows);
-  os << "edge_crash_rate = " << num(plan.edge.rate) << "\n"
-     << "edge_downtime_mean_s = " << num(plan.edge.mean_downtime) << "\n";
-  if (!plan.ap_windows.empty()) {
-    os << "ap_outage_windows = ";
-    for (std::size_t i = 0; i < plan.ap_windows.size(); ++i)
-      os << (i ? "," : "") << window_to_string(plan.ap_windows[i], 'a');
-    os << "\n";
-  }
-  if (!plan.churn.events.empty()) {
-    os << "churn = ";
-    for (std::size_t i = 0; i < plan.churn.events.size(); ++i) {
-      const auto& e = plan.churn.events[i];
-      os << (i ? "," : "") << e.device << ":" << num(e.leave) << "-";
-      if (e.rejoin >= 0.0) os << num(e.rejoin);
-    }
-    os << "\n";
-  }
-  const auto& deg = plan.degradation;
-  os << "detection_timeout_s = " << num(deg.detection_timeout) << "\n"
-     << "task_timeout_s = " << num(deg.task_timeout) << "\n"
-     << "max_retries = " << deg.max_retries << "\n"
-     << "retry_backoff_s = " << num(deg.retry_backoff) << "\n"
-     << "probe_period_s = " << num(deg.probe_period) << "\n";
-  return os.str();
 }
 
 }  // namespace leime::sim

@@ -166,8 +166,4 @@ FaultTimeline materialize_faults(const FaultPlan& plan,
 /// the device count happens later in FaultPlan::validate.
 FaultPlan parse_faults_section(const util::IniSection& section);
 
-/// Serializes a plan back to a `[faults]` section; parse_faults_section of
-/// the result reproduces the plan exactly (round-trip contract).
-std::string serialize_faults_ini(const FaultPlan& plan);
-
 }  // namespace leime::sim
