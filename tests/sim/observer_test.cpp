@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "models/zoo.h"
 #include "sim/scenario_ini.h"
 #include "sim/simulation.h"
+#include "util/units.h"
 
 #ifndef LEIME_CONFIG_DIR
 #error "sim_test must be compiled with LEIME_CONFIG_DIR"
@@ -186,6 +188,40 @@ TEST(Observer, TraceSamplerTracesExactlyOneInN) {
   ASSERT_FALSE(obs.trace().spans().empty());
   for (const auto& span : obs.trace().spans())
     EXPECT_EQ(span.task_id % 4, 0u);
+}
+
+// The trace tracks of the two flat network modes: per-device links (with
+// result returns and a FIFO cloud) and one shared AP. Every resource a task
+// crosses gets its own named lane; a fixed x = 0.5 keeps both the device
+// CPUs and the network busy.
+TEST(Observer, FlatAndSharedApTraceTracks) {
+  const auto tracks = [](ScenarioConfig cfg) {
+    cfg.fixed_ratio = 0.5;
+    ObsConfig obs_cfg;
+    obs_cfg.trace_sample = 1;
+    RecordingObserver obs(obs_cfg, cfg.devices.size());
+    cfg.observer = &obs;
+    run_scenario(cfg);
+    std::set<std::string> out;
+    for (const auto& span : obs.trace().spans()) out.insert(span.track);
+    return out;
+  };
+
+  auto flat = base_scenario();
+  flat.result_bytes = 1000.0;
+  flat.cloud_fifo = true;
+  EXPECT_EQ(tracks(flat),
+            (std::set<std::string>{"cloud", "cloud-return", "device0",
+                                   "device1", "downlink0", "downlink1",
+                                   "edge-cloud", "edge-share0", "edge-share1",
+                                   "uplink0", "uplink1"}));
+
+  auto shared = base_scenario();
+  shared.shared_uplink_bw = util::mbps(20.0);
+  EXPECT_EQ(tracks(shared),
+            (std::set<std::string>{"cloud", "device0", "device1", "edge-cloud",
+                                   "edge-share0", "edge-share1",
+                                   "shared-ap"}));
 }
 
 // The time-series pillar samples Q_i/H_i at exactly the slot granularity

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/exit_setting.h"
 #include "models/zoo.h"
+#include "sim/scenario_ini.h"
+
+#ifndef LEIME_CONFIG_DIR
+#error "sim_test must be compiled with LEIME_CONFIG_DIR"
+#endif
 
 namespace leime::sim {
 namespace {
@@ -379,6 +389,48 @@ TEST(Simulation, BacklogFeedbackPreventsUplinkOversubscription) {
   cfg.uplink_backlog_feedback = true;
   const auto aware = run_scenario(cfg);
   EXPECT_LE(aware.tct.mean, memoryless.tct.mean * 1.05);
+}
+
+// Every config shipped under configs/ loads and runs: one replication,
+// capped at 20 simulated seconds, conserves its tasks and reports only
+// finite numbers. The flat, faulted and fabric configs all pass through
+// the simulator's network layer this way.
+TEST(Simulation, EveryShippedConfigLoadsAndRuns) {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LEIME_CONFIG_DIR))
+    if (entry.path().extension() == ".ini")
+      paths.push_back(entry.path().string());
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 3u);
+  for (const auto& path : paths) {
+    SCOPED_TRACE(path);
+    auto cfg = load_scenario_file(path).config;
+    cfg.duration = std::min(cfg.duration, 20.0);
+    cfg.warmup = std::min(cfg.warmup, 0.5 * cfg.duration);
+    const auto r = run_scenario(cfg);
+    EXPECT_GT(r.generated, 0u);
+    EXPECT_EQ(r.generated, r.total_completed + r.in_flight);
+    const auto finite_summary = [](const util::Summary& s) {
+      return std::isfinite(s.mean) && std::isfinite(s.stddev) &&
+             std::isfinite(s.min) && std::isfinite(s.p50) &&
+             std::isfinite(s.p95) && std::isfinite(s.p99) &&
+             std::isfinite(s.max);
+    };
+    EXPECT_TRUE(finite_summary(r.tct));
+    for (const double v :
+         {r.exit1_fraction, r.exit2_fraction, r.exit3_fraction,
+          r.mean_offload_ratio, r.mean_device_queue, r.mean_edge_queue,
+          r.net.bytes, r.net.max_backlog_bytes})
+      EXPECT_TRUE(std::isfinite(v));
+    for (const auto& point : r.timeline)
+      EXPECT_TRUE(std::isfinite(point.time) && std::isfinite(point.mean_tct));
+    ASSERT_EQ(r.per_device.size(), cfg.devices.size());
+    for (const auto& dev : r.per_device) {
+      EXPECT_TRUE(finite_summary(dev.tct));
+      EXPECT_TRUE(std::isfinite(dev.mean_offload_ratio));
+    }
+  }
 }
 
 }  // namespace
