@@ -29,11 +29,10 @@ Fabric::Fabric(sim::EventQueue& queue, Topology topology, Options options)
 
   const int n = topology_.num_devices();
   const int a = topology_.num_aps();
-  const int e = topology_.num_edges();
-  routers_.reserve(static_cast<std::size_t>(n + a + e + 1));
+  routers_.reserve(static_cast<std::size_t>(n + a + 2));
   for (int i = 0; i < n; ++i) routers_.emplace_back(*queue_, NodeId::device(i));
   for (int i = 0; i < a; ++i) routers_.emplace_back(*queue_, NodeId::ap(i));
-  for (int i = 0; i < e; ++i) routers_.emplace_back(*queue_, NodeId::edge(i));
+  routers_.emplace_back(*queue_, NodeId::edge());
   routers_.emplace_back(*queue_, NodeId::cloud());
 
   const auto connect = [&](NodeId child, NodeId parent, const LinkSpec& up) {
@@ -45,10 +44,8 @@ Fabric::Fabric(sim::EventQueue& queue, Topology topology, Options options)
     connect(NodeId::device(i), NodeId::ap(topology_.ap_of(i)),
             topology_.device_up(i));
   for (int i = 0; i < a; ++i)
-    connect(NodeId::ap(i), NodeId::edge(topology_.edge_of(i)),
-            topology_.ap_up(i));
-  for (int i = 0; i < e; ++i)
-    connect(NodeId::edge(i), NodeId::cloud(), topology_.edge_up(i));
+    connect(NodeId::ap(i), NodeId::edge(), topology_.ap_up(i));
+  connect(NodeId::edge(), NodeId::cloud(), topology_.edge_up());
   // Every port exists now, so the addresses below stay valid.
   for (Router& r : routers_)
     for (Router::Port& port : r.ports()) {
@@ -60,7 +57,6 @@ Fabric::Fabric(sim::EventQueue& queue, Topology topology, Options options)
 Router& Fabric::router(NodeId node) {
   const int n = topology_.num_devices();
   const int a = topology_.num_aps();
-  const int e = topology_.num_edges();
   std::size_t index = 0;
   switch (node.tier) {
     case Tier::kDevice:
@@ -72,27 +68,18 @@ Router& Fabric::router(NodeId node) {
       index = static_cast<std::size_t>(n + node.index);
       break;
     case Tier::kEdge:
-      LEIME_CHECK(node.index >= 0 && node.index < e);
-      index = static_cast<std::size_t>(n + a + node.index);
+      index = static_cast<std::size_t>(n + a);
       break;
     case Tier::kCloud:
-      index = static_cast<std::size_t>(n + a + e);
+      index = static_cast<std::size_t>(n + a + 1);
       break;
   }
   return routers_[index];
 }
 
-const Router& Fabric::router(NodeId node) const {
-  return const_cast<Fabric*>(this)->router(node);
-}
-
 sim::Link* Fabric::link(NodeId src, NodeId dst) {
   Router::Port* port = router(src).find_port(dst);
   return port ? port->link.get() : nullptr;
-}
-
-const sim::Link* Fabric::link(NodeId src, NodeId dst) const {
-  return const_cast<Fabric*>(this)->link(src, dst);
 }
 
 const Fabric::CachedRoute& Fabric::resolve(NodeId src, NodeId dst) {
@@ -197,32 +184,25 @@ void Fabric::advance(std::uint32_t id, double t) {
   ++stats_.hops;
 }
 
-double Fabric::route_bandwidth_at(NodeId src, NodeId dst, double t) const {
+RouteState Fabric::route_state(NodeId src, NodeId dst, double t) const {
   const auto& route = const_cast<Fabric*>(this)->resolve(src, dst);
-  double bw = 0.0;
+  RouteState out;
   for (int i = 0; i < route.count; ++i) {
-    const double hop_bw =
-        route.hops[static_cast<std::size_t>(i)].port->link->bandwidth_at(t);
-    bw = (i == 0) ? hop_bw : std::min(bw, hop_bw);
+    const sim::Link& link = *route.hops[static_cast<std::size_t>(i)].port->link;
+    const double hop_bw = link.bandwidth_at(t);
+    out.bandwidth = (i == 0) ? hop_bw : std::min(out.bandwidth, hop_bw);
+    out.latency += link.latency_at(t);
+    out.backlog_bytes += link.backlog_bytes(t);
   }
-  return bw;
+  return out;
 }
 
-double Fabric::route_latency_at(NodeId src, NodeId dst, double t) const {
+bool Fabric::route_up(NodeId src, NodeId dst, double t) const {
   const auto& route = const_cast<Fabric*>(this)->resolve(src, dst);
-  double lat = 0.0;
   for (int i = 0; i < route.count; ++i)
-    lat += route.hops[static_cast<std::size_t>(i)].port->link->latency_at(t);
-  return lat;
-}
-
-double Fabric::route_backlog_bytes(NodeId src, NodeId dst, double t) const {
-  const auto& route = const_cast<Fabric*>(this)->resolve(src, dst);
-  double backlog = 0.0;
-  for (int i = 0; i < route.count; ++i)
-    backlog +=
-        route.hops[static_cast<std::size_t>(i)].port->link->backlog_bytes(t);
-  return backlog;
+    if (!route.hops[static_cast<std::size_t>(i)].port->link->up_at(t))
+      return false;
+  return true;
 }
 
 double Fabric::max_backlog_bytes() const {

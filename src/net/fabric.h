@@ -34,6 +34,15 @@ class MetricsRegistry;
 
 namespace leime::net {
 
+/// The controller's view of one route at a time t: the bottleneck
+/// bandwidth (min over hops), the total propagation latency and the total
+/// queued backlog, each accumulated hop by hop in route order.
+struct RouteState {
+  double bandwidth = 0.0;
+  double latency = 0.0;
+  double backlog_bytes = 0.0;
+};
+
 struct FabricOptions {
   /// Materialize the mirror (root -> leaf) ports so results can be routed
   /// back down. Off by default: uplink-only scenarios skip the extra links
@@ -93,23 +102,21 @@ class Fabric {
   /// The underlying link of the directed port src -> dst (one hop), e.g.
   /// to attach bandwidth traces or outage windows; nullptr when absent.
   sim::Link* link(NodeId src, NodeId dst);
-  const sim::Link* link(NodeId src, NodeId dst) const;
 
   Router& router(NodeId node);
-  const Router& router(NodeId node) const;
 
   /// Ports by fabric-wide id: dense, 0 .. num_ports() - 1, numbered in
-  /// router order (devices, APs, edges, cloud) and port order within a
+  /// router order (devices, APs, the edge, cloud) and port order within a
   /// router. Router::Port::id holds the same number.
   std::size_t num_ports() const { return ports_.size(); }
   const Router::Port& port(std::uint32_t id) const { return *ports_[id]; }
 
-  /// Route-aggregate observations for the controller: the bottleneck
-  /// bandwidth (min over hops), total propagation latency (sum), and total
-  /// queued backlog (sum) along src -> dst at time t.
-  double route_bandwidth_at(NodeId src, NodeId dst, double t) const;
-  double route_latency_at(NodeId src, NodeId dst, double t) const;
-  double route_backlog_bytes(NodeId src, NodeId dst, double t) const;
+  /// The route-aggregate observation along src -> dst at time t, from one
+  /// route lookup.
+  RouteState route_state(NodeId src, NodeId dst, double t) const;
+
+  /// Whether every hop of src -> dst is outside its outage windows at t.
+  bool route_up(NodeId src, NodeId dst, double t) const;
 
   struct Stats {
     std::uint64_t transfers = 0;  ///< flows started
@@ -166,7 +173,7 @@ class Fabric {
   sim::EventQueue* queue_;
   Topology topology_;
   Options options_;
-  std::vector<Router> routers_;  ///< devices, then APs, edges, cloud
+  std::vector<Router> routers_;  ///< devices, then APs, the edge, cloud
   std::vector<const Router::Port*> ports_;  ///< by fabric-wide port id
   std::unordered_map<std::uint64_t, CachedRoute> route_cache_;
   std::vector<Flow> flows_;

@@ -31,12 +31,6 @@ Router::Port* Router::find_port(NodeId dst) {
   return nullptr;
 }
 
-const Router::Port* Router::find_port(NodeId dst) const {
-  for (const auto& port : ports_)
-    if (port.dst == dst) return &port;
-  return nullptr;
-}
-
 bool Router::send(Port& port, double bytes, sim::Completion done) {
   const double now = queue_->now();
   const double backlog = port.link->backlog_bytes(now);

@@ -55,7 +55,6 @@ class Router {
 
   /// nullptr when this router has no port toward `dst`.
   Port* find_port(NodeId dst);
-  const Port* find_port(NodeId dst) const;
 
   /// Admits `bytes` into the port's FIFO. Returns false (and counts a drop)
   /// when a queue limit is set and the backlog plus this transfer would

@@ -62,16 +62,14 @@ void TopologyConfig::validate(std::size_t num_devices) const {
   }
 }
 
-Topology::Topology(int num_devices, int num_aps, int num_edges)
-    : num_devices_(num_devices), num_aps_(num_aps), num_edges_(num_edges) {
-  if (num_devices < 0 || num_aps < 1 || num_edges < 1)
-    throw std::invalid_argument("net: topology needs devices >= 0, aps >= 1, "
-                                "edges >= 1");
+Topology::Topology(int num_devices, int num_aps, LinkSpec edge_cloud)
+    : num_devices_(num_devices), num_aps_(num_aps), edge_up_(edge_cloud) {
+  if (num_devices < 0 || num_aps < 1)
+    throw std::invalid_argument("net: topology needs devices >= 0, aps >= 1");
+  check_spec(edge_cloud, "edge uplink");
   ap_of_device_.assign(static_cast<std::size_t>(num_devices), -1);
-  edge_of_ap_.assign(static_cast<std::size_t>(num_aps), -1);
   device_up_.resize(static_cast<std::size_t>(num_devices));
   ap_up_.resize(static_cast<std::size_t>(num_aps));
-  edge_up_.resize(static_cast<std::size_t>(num_edges));
 }
 
 void Topology::attach_device(int device, int ap, LinkSpec up) {
@@ -84,21 +82,11 @@ void Topology::attach_device(int device, int ap, LinkSpec up) {
   device_up_[static_cast<std::size_t>(device)] = up;
 }
 
-void Topology::attach_ap(int ap, int edge, LinkSpec up) {
+void Topology::attach_ap(int ap, LinkSpec up) {
   if (ap < 0 || ap >= num_aps_)
     throw std::invalid_argument("net: ap index out of range");
-  if (edge < 0 || edge >= num_edges_)
-    throw std::invalid_argument("net: edge index out of range");
   check_spec(up, "ap backhaul");
-  edge_of_ap_[static_cast<std::size_t>(ap)] = edge;
   ap_up_[static_cast<std::size_t>(ap)] = up;
-}
-
-void Topology::attach_edge(int edge, LinkSpec to_cloud) {
-  if (edge < 0 || edge >= num_edges_)
-    throw std::invalid_argument("net: edge index out of range");
-  check_spec(to_cloud, "edge uplink");
-  edge_up_[static_cast<std::size_t>(edge)] = to_cloud;
 }
 
 void Topology::validate() const {
@@ -107,13 +95,9 @@ void Topology::validate() const {
       throw std::invalid_argument("net: device " + std::to_string(d) +
                                   " is not attached to an AP");
   for (int a = 0; a < num_aps_; ++a)
-    if (edge_of_ap_[static_cast<std::size_t>(a)] < 0)
+    if (!(ap_up_[static_cast<std::size_t>(a)].bandwidth > 0.0))
       throw std::invalid_argument("net: ap " + std::to_string(a) +
-                                  " is not attached to an edge");
-  for (int e = 0; e < num_edges_; ++e)
-    if (!(edge_up_[static_cast<std::size_t>(e)].bandwidth > 0.0))
-      throw std::invalid_argument("net: edge " + std::to_string(e) +
-                                  " has no cloud uplink");
+                                  " is not attached to the edge");
 }
 
 NodeId Topology::parent(NodeId node) const {
@@ -125,10 +109,8 @@ NodeId Topology::parent(NodeId node) const {
     case Tier::kAp:
       if (node.index < 0 || node.index >= num_aps_)
         throw std::invalid_argument("net: ap index out of range");
-      return NodeId::edge(edge_of_ap_[static_cast<std::size_t>(node.index)]);
+      return NodeId::edge();
     case Tier::kEdge:
-      if (node.index < 0 || node.index >= num_edges_)
-        throw std::invalid_argument("net: edge index out of range");
       return NodeId::cloud();
     case Tier::kCloud:
       break;
@@ -137,7 +119,6 @@ NodeId Topology::parent(NodeId node) const {
 }
 
 Topology::Route Topology::route(NodeId src, NodeId dst) const {
-  validate();
   Route out;
   if (src == dst) return out;
 
@@ -176,7 +157,7 @@ Topology Topology::from_config(const TopologyConfig& config,
   if (!config.enabled())
     throw std::invalid_argument("net: from_config needs an enabled topology");
   const int n = static_cast<int>(device_uplinks.size());
-  Topology topo(n, config.aps, 1);
+  Topology topo(n, config.aps, edge_cloud);
   for (int d = 0; d < n; ++d) {
     const int ap = config.device_map.empty()
                        ? d % config.aps
@@ -184,9 +165,7 @@ Topology Topology::from_config(const TopologyConfig& config,
     topo.attach_device(d, ap, device_uplinks[static_cast<std::size_t>(d)]);
   }
   for (int a = 0; a < config.aps; ++a)
-    topo.attach_ap(a, 0, {config.ap_bandwidth, config.ap_latency});
-  topo.attach_edge(0, edge_cloud);
-  topo.validate();
+    topo.attach_ap(a, {config.ap_bandwidth, config.ap_latency});
   return topo;
 }
 

@@ -9,9 +9,10 @@
 //
 //     device --wireless--> access point --backhaul--> edge --WAN--> cloud
 //
-// A Topology is pure data — node counts, attachment maps and per-link
-// bandwidth/latency specs — with static route computation (the tree makes
-// every route unique). net::Fabric (fabric.h) instantiates it into routers
+// There is one edge (the paper's single edge server), so the tree is fixed
+// above the access points. A Topology is pure data — node counts, the
+// device -> AP attachment map and per-link bandwidth/latency specs — with
+// static route computation (the tree makes every route unique). net::Fabric (fabric.h) instantiates it into routers
 // with per-output-port FIFO queues on a sim::EventQueue.
 //
 // TopologyConfig is the INI-facing subset carried by sim::ScenarioConfig
@@ -34,15 +35,15 @@ enum class Tier : std::uint8_t { kDevice = 0, kAp, kEdge, kCloud };
 
 const char* to_string(Tier tier);
 
-/// Identifies one node: a tier plus an index within the tier (the cloud is
-/// a single node; its index is always 0).
+/// Identifies one node: a tier plus an index within the tier (the edge and
+/// the cloud are single nodes; their index is always 0).
 struct NodeId {
   Tier tier = Tier::kDevice;
   int index = 0;
 
   static NodeId device(int i) { return {Tier::kDevice, i}; }
   static NodeId ap(int i) { return {Tier::kAp, i}; }
-  static NodeId edge(int i) { return {Tier::kEdge, i}; }
+  static NodeId edge() { return {Tier::kEdge, 0}; }
   static NodeId cloud() { return {Tier::kCloud, 0}; }
 
   friend bool operator==(const NodeId&, const NodeId&) = default;
@@ -92,27 +93,26 @@ struct TopologyConfig {
 /// directly (tests, exotic layouts) or via from_config (the simulator).
 class Topology {
  public:
-  /// All counts must be >= 1 except num_devices >= 0. Attachments start
-  /// unset; validate() (or route()) throws while any are missing.
-  Topology(int num_devices, int num_aps, int num_edges);
+  /// num_devices >= 0 devices and num_aps >= 1 access points under the one
+  /// edge, whose cloud uplink is `edge_cloud`. Attachments start unset;
+  /// validate() throws while any are missing.
+  Topology(int num_devices, int num_aps, LinkSpec edge_cloud);
 
   void attach_device(int device, int ap, LinkSpec up);
-  void attach_ap(int ap, int edge, LinkSpec up);
-  void attach_edge(int edge, LinkSpec to_cloud);
+  void attach_ap(int ap, LinkSpec up);
 
-  /// Throws std::invalid_argument when any device/AP/edge is unattached or
-  /// an index is out of range.
+  /// Throws std::invalid_argument when any device or AP is unattached.
+  /// A scan of the whole tree: call it once, after the last attachment
+  /// (net::Fabric's constructor does).
   void validate() const;
 
   int num_devices() const { return num_devices_; }
   int num_aps() const { return num_aps_; }
-  int num_edges() const { return num_edges_; }
 
   int ap_of(int device) const { return ap_of_device_[device]; }
-  int edge_of(int ap) const { return edge_of_ap_[ap]; }
   const LinkSpec& device_up(int device) const { return device_up_[device]; }
   const LinkSpec& ap_up(int ap) const { return ap_up_[ap]; }
-  const LinkSpec& edge_up(int edge) const { return edge_up_[edge]; }
+  const LinkSpec& edge_up() const { return edge_up_; }
 
   /// Parent in the tree; cloud has none (throws).
   NodeId parent(NodeId node) const;
@@ -120,7 +120,8 @@ class Topology {
   /// The unique tree route src -> dst as a sequence of directed hops
   /// (src-of-hop, dst-of-hop). Hops toward the root use the uplink specs;
   /// hops away from the root are the mirror (duplex) direction, which the
-  /// fabric only materializes when built with duplex ports.
+  /// fabric only materializes when built with duplex ports. Climbs only the
+  /// two endpoints' branches (O(depth)); it does not validate() the tree.
   struct Route {
     static constexpr int kMaxHops = 6;  ///< device -> cloud -> device
     std::array<std::pair<NodeId, NodeId>, kMaxHops> hops;
@@ -129,9 +130,9 @@ class Topology {
   Route route(NodeId src, NodeId dst) const;
 
   /// Expands a TopologyConfig: per-device wireless uplinks from
-  /// `device_uplinks`, AP backhaul from the config, every AP into edge 0,
-  /// edge 0 -> cloud from `edge_cloud`. The config must be enabled() and
-  /// validate() against device_uplinks.size().
+  /// `device_uplinks`, AP backhaul from the config, the edge -> cloud link
+  /// from `edge_cloud`. The config must be enabled() and validate() against
+  /// device_uplinks.size().
   static Topology from_config(const TopologyConfig& config,
                               const std::vector<LinkSpec>& device_uplinks,
                               LinkSpec edge_cloud);
@@ -139,12 +140,10 @@ class Topology {
  private:
   int num_devices_;
   int num_aps_;
-  int num_edges_;
   std::vector<int> ap_of_device_;
-  std::vector<int> edge_of_ap_;
   std::vector<LinkSpec> device_up_;
-  std::vector<LinkSpec> ap_up_;
-  std::vector<LinkSpec> edge_up_;
+  std::vector<LinkSpec> ap_up_;  ///< bandwidth 0 = not attached yet
+  LinkSpec edge_up_;
 };
 
 }  // namespace leime::net

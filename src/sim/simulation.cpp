@@ -15,12 +15,12 @@
 #include "core/lyapunov.h"
 #include "core/offload_policy.h"
 #include "core/resource_alloc.h"
-#include "net/fabric.h"
 #include "policy/engine.h"
 #include "policy/prediction.h"
 #include "prof/profiler.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
+#include "sim/network.h"
 #include "sim/observer.h"
 #include "sim/resources.h"
 #include "sim/shard.h"
@@ -55,14 +55,11 @@ std::unique_ptr<workload::ArrivalProcess> make_arrivals(
   throw std::invalid_argument("DeviceSpec: unknown ArrivalKind");
 }
 
-/// Everything the simulator tracks per device.
+/// Everything the simulator tracks per device (its links live in the
+/// Network).
 struct DeviceRuntime {
   const DeviceSpec* spec = nullptr;
   std::unique_ptr<FifoProcessor> cpu;
-  std::unique_ptr<Link> uplink;
-  std::unique_ptr<Link> downlink;  ///< only when result_bytes > 0
-  Link* tx = nullptr;              ///< own uplink, or the shared AP
-  double tx_extra_latency = 0.0;   ///< per-device latency in shared mode
   std::unique_ptr<FifoProcessor> edge_share;  ///< p_i·F^e docker share
   std::unique_ptr<workload::ArrivalProcess> arrivals;
   workload::ComplexityModel complexity{1.0};
@@ -97,8 +94,6 @@ struct ShardRole {
 /// claw the task back from.
 using Step = Phase;
 
-enum class Tier : std::uint8_t { kDevice, kEdge, kCloud };
-
 /// What a step is: where it runs (a compute step has from == to) and what
 /// it carries. Successors live in Simulation::next_step.
 struct StepSpec {
@@ -132,43 +127,12 @@ static_assert(std::size(kSteps) == kPhaseCount);
 class Simulation {
  public:
   explicit Simulation(const ScenarioConfig& config, ShardRole role = {})
-      : cfg_(config), role_(role) {
-    if (cfg_.devices.empty())
-      throw std::invalid_argument("ScenarioConfig: no devices");
-    // Written so that NaN fails: a NaN duration would never close the
-    // generation window.
-    if (!(cfg_.duration > 0.0 && std::isfinite(cfg_.duration)) ||
-        !(cfg_.warmup >= 0.0 && cfg_.warmup < cfg_.duration))
-      throw std::invalid_argument("ScenarioConfig: bad duration/warmup");
-    if (cfg_.reallocation_period < 0.0)
-      throw std::invalid_argument("ScenarioConfig: bad reallocation_period");
-    if (cfg_.timeline_window <= 0.0)
-      throw std::invalid_argument("ScenarioConfig: bad timeline_window");
-    // 0 means "off" for both; negative or non-finite values are errors.
-    if (!(cfg_.result_bytes >= 0.0 && std::isfinite(cfg_.result_bytes)))
-      throw std::invalid_argument("ScenarioConfig: bad result_bytes");
-    if (!(cfg_.shared_uplink_bw >= 0.0 && std::isfinite(cfg_.shared_uplink_bw)))
-      throw std::invalid_argument("ScenarioConfig: bad shared_uplink_bw");
-    cfg_.faults.validate(cfg_.devices.size());
-    cfg_.topology.validate(cfg_.devices.size());
-    if (cfg_.topology.enabled() && cfg_.shared_uplink_bw > 0.0)
-      throw std::invalid_argument(
-          "ScenarioConfig: topology and shared_uplink_bw are mutually "
-          "exclusive network modes");
-    if (!cfg_.faults.ap_windows.empty()) {
-      if (!cfg_.topology.enabled())
-        throw std::invalid_argument(
-            "ScenarioConfig: ap_outage_windows need an enabled [topology]");
-      for (const auto& w : cfg_.faults.ap_windows)
-        if (w.device >= cfg_.topology.aps)
-          throw std::invalid_argument(
-              "ScenarioConfig: ap_outage_windows names AP " +
-              std::to_string(w.device) + " but the topology has " +
-              std::to_string(cfg_.topology.aps) + " APs");
-    }
+      : cfg_(checked(config)),
+        role_(role),
+        lo_(role.lo),
+        hi_(role.active() ? role.hi : config.devices.size()),
+        net_(queue_, cfg_, lo_, hi_, role.outbox) {
     faults_on_ = cfg_.faults.enabled();
-    lo_ = role_.lo;
-    hi_ = role_.active() ? role_.hi : cfg_.devices.size();
     build();
     // Observer hooks are pure taps: they consume no RNG, schedule no events
     // and never alter control flow, so a run with obs_ == nullptr and a run
@@ -184,19 +148,13 @@ class Simulation {
           cfg_.obs, devices_.size(), std::move(device_classes));
       obs_ = owned_obs_.get();
     }
-    if (obs_ && fabric_) {
-      // Per-hop spans feed the attribution ledger. The tag packs
-      // (attempt, task id); spans of paths the task has since abandoned
-      // (failover/retry bumped the attempt) are filtered here, mirroring
-      // the staleness guards on the flow completions themselves.
-      fabric_->set_hop_tap([this](std::uint64_t tag, std::uint32_t port,
-                                  double t_queued, double exec_start,
-                                  double t_end) {
-        const std::size_t id = flow_task(tag);
-        if (!alive(id, flow_attempt(tag))) return;
-        obs_->on_net_hop(id, port, t_queued, exec_start, t_end);
+    // Fabric hop spans feed the attribution ledger; spans of paths the task
+    // has since abandoned (failover/retry bumped the attempt) are dropped,
+    // mirroring the staleness guards on the completions themselves.
+    if (obs_)
+      net_.tap_hops(*obs_, [this](std::size_t id, int att) {
+        return alive(id, att);
       });
-    }
   }
 
   /// Seeds the run and schedules the initial events: decisions, arrival
@@ -245,7 +203,7 @@ class Simulation {
       LEIME_PROF_SCOPE("leime.sim.event_loop");
       queue_.run_all();
     }
-    if (obs_ && fabric_) obs_->on_net_fabric(*fabric_, queue_.now());
+    if (obs_) net_.report(*obs_, queue_.now());
     end_run();
     SimResult out = finalize();
     out.events_executed = queue_.executed();
@@ -401,36 +359,31 @@ class Simulation {
                                  const Aggregates& agg);
 
  private:
-  void build() {
-    LEIME_PROF_SCOPE("leime.sim.build");
-    const auto& p = cfg_.partition;
+  /// The checks that need no network; Network checks its own mode.
+  static const ScenarioConfig& checked(const ScenarioConfig& cfg) {
+    if (cfg.devices.empty())
+      throw std::invalid_argument("ScenarioConfig: no devices");
+    // Written so that NaN fails: a NaN duration would never close the
+    // generation window.
+    if (!(cfg.duration > 0.0 && std::isfinite(cfg.duration)) ||
+        !(cfg.warmup >= 0.0 && cfg.warmup < cfg.duration))
+      throw std::invalid_argument("ScenarioConfig: bad duration/warmup");
+    if (cfg.reallocation_period < 0.0)
+      throw std::invalid_argument("ScenarioConfig: bad reallocation_period");
+    if (cfg.timeline_window <= 0.0)
+      throw std::invalid_argument("ScenarioConfig: bad timeline_window");
+    // 0 means "off"; negative or non-finite values are errors.
+    if (!(cfg.result_bytes >= 0.0 && std::isfinite(cfg.result_bytes)))
+      throw std::invalid_argument("ScenarioConfig: bad result_bytes");
+    cfg.faults.validate(cfg.devices.size());
+    const auto& p = cfg.partition;
     if (p.mu1 <= 0.0 || p.mu2 <= 0.0 || p.mu3 <= 0.0)
       throw std::invalid_argument("ScenarioConfig: invalid partition");
+    return cfg;
+  }
 
-    // The network mode is fixed here: the routed fabric, or flat links
-    // (per-device uplinks or one shared AP, plus the edge-cloud and result
-    // links). start() picks between the two in one branch.
-    if (cfg_.topology.enabled()) {
-      std::vector<net::LinkSpec> uplinks;
-      for (const auto& spec : cfg_.devices)
-        uplinks.push_back({spec.uplink_bw, spec.uplink_lat});
-      net::FabricOptions fopts;
-      fopts.duplex = cfg_.result_bytes > 0.0;
-      fopts.queue_limit_bytes = cfg_.topology.queue_limit_bytes;
-      fabric_ = std::make_unique<net::Fabric>(
-          queue_,
-          net::Topology::from_config(
-              cfg_.topology, uplinks,
-              {cfg_.edge_cloud_bw, cfg_.edge_cloud_lat}),
-          fopts);
-    } else {
-      if (cfg_.shared_uplink_bw > 0.0)
-        shared_ap_ = std::make_unique<Link>(queue_, "shared-ap",
-                                            cfg_.shared_uplink_bw, 0.0);
-      if (cfg_.result_bytes > 0.0)
-        cloud_return_link_ = std::make_unique<Link>(
-            queue_, "cloud-return", cfg_.edge_cloud_bw, cfg_.edge_cloud_lat);
-    }
+  void build() {
+    LEIME_PROF_SCOPE("leime.sim.build");
     if (cfg_.cloud_fifo)
       cloud_ = std::make_unique<FifoProcessor>(queue_, "cloud",
                                                cfg_.cloud_flops);
@@ -451,35 +404,10 @@ class Simulation {
       dev->spec = &spec;
       dev->cpu = std::make_unique<FifoProcessor>(
           queue_, "device" + std::to_string(i), spec.flops);
-      // The device's wireless hop: the fabric's device -> AP port, or its
-      // own flat uplink. Traces shape either one the same way.
-      Link* wireless = nullptr;
-      if (fabric_) {
-        wireless = fabric_->link(dev_node(i), ap_node(i));
-      } else {
-        dev->uplink = std::make_unique<Link>(
-            queue_, "uplink" + std::to_string(i), spec.uplink_bw,
-            spec.uplink_lat);
-        wireless = dev->uplink.get();
-        if (cfg_.result_bytes > 0.0)
-          dev->downlink = std::make_unique<Link>(
-              queue_, "downlink" + std::to_string(i), spec.uplink_bw,
-              spec.uplink_lat);
-      }
-      if (spec.uplink_bw_trace)
-        wireless->set_bandwidth_trace(*spec.uplink_bw_trace);
-      if (spec.uplink_lat_trace)
-        wireless->set_latency_trace(*spec.uplink_lat_trace);
       dev->edge_share = std::make_unique<FifoProcessor>(
           queue_, "edge-share" + std::to_string(i),
           shares[i] * cfg_.edge_flops);
       dev->arrivals = make_arrivals(spec);
-      if (shared_ap_) {
-        dev->tx = shared_ap_.get();
-        dev->tx_extra_latency = spec.uplink_lat;
-      } else {
-        dev->tx = dev->uplink.get();
-      }
       dev->complexity = workload::ComplexityModel(spec.difficulty);
       dev->arrival_estimate =
           std::max(1.0, spec.mean_rate * cfg_.lyapunov.tau);
@@ -492,17 +420,11 @@ class Simulation {
     else
       policy_ = core::make_policy(cfg_.policy);
     if (role_.active()) {
-      // In a sharded run the edge->cloud link is the one shared resource:
-      // the coordinator owns it (as a HubLink replay) and shards record
-      // admissions into their outbox instead of transferring directly.
       // Shards share one thread-safe coordinator-owned engine (its batched
       // eq. 20 path is 0-ULP batch-invariant, so partitioning the fleet
       // across shards leaves every decision bit-identical).
       engine_ = role_.engine;
     } else {
-      if (!fabric_)
-        edge_cloud_link_ = std::make_unique<Link>(
-            queue_, "edge-cloud", cfg_.edge_cloud_bw, cfg_.edge_cloud_lat);
       // The engine is only instantiated for the batched fleet path; the
       // exit-setting fast paths act at design time (scenario_ini,
       // adaptive, multi_edge), before a Simulation exists.
@@ -510,43 +432,6 @@ class Simulation {
         policy_engine_ = std::make_unique<policy::Engine>(cfg_.policy_core);
       engine_ = policy_engine_.get();
     }
-  }
-
-  // -------------------------------------------------------------- topology
-
-  static net::NodeId dev_node(std::size_t i) {
-    return net::NodeId::device(static_cast<int>(i));
-  }
-  std::size_t ap_of(std::size_t i) const {
-    return static_cast<std::size_t>(
-        fabric_->topology().ap_of(static_cast<int>(i)));
-  }
-  net::NodeId ap_node(std::size_t i) const {
-    return net::NodeId::ap(static_cast<int>(ap_of(i)));
-  }
-  static net::NodeId edge_node() { return net::NodeId::edge(0); }
-  static net::NodeId tier_node(Tier tier, std::size_t i) {
-    switch (tier) {
-      case Tier::kDevice: return dev_node(i);
-      case Tier::kEdge: return edge_node();
-      case Tier::kCloud: break;
-    }
-    return net::NodeId::cloud();
-  }
-
-  /// Fabric flow tags pack (attempt, task id) so the hop tap can filter
-  /// spans of abandoned paths: attempts stay small (bounded retries), task
-  /// ids stay far below 2^48 for any feasible run length.
-  static std::uint64_t flow_tag(std::size_t id, int att) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(att))
-            << 48) |
-           static_cast<std::uint64_t>(id);
-  }
-  static std::size_t flow_task(std::uint64_t tag) {
-    return static_cast<std::size_t>(tag & ((std::uint64_t{1} << 48) - 1));
-  }
-  static int flow_attempt(std::uint64_t tag) {
-    return static_cast<int>(tag >> 48);
   }
 
   // ---------------------------------------------------------------- faults
@@ -562,50 +447,7 @@ class Simulation {
 
   void apply_fault_timeline() {
     edge_up_now_ = timeline_.edge_up_at(0.0);
-    auto to_pairs = [](const std::vector<FaultWindow>& windows) {
-      std::vector<std::pair<double, double>> out;
-      for (const auto& w : windows) out.push_back({w.start, w.end});
-      return out;
-    };
-    if (fabric_) {
-      // Per-device wireless outages land on the device's own port; AP
-      // outages hold the backhaul port's queued bytes. Duplex mirrors get
-      // the same windows (the radio/backhaul is down in both directions).
-      const auto& topo = fabric_->topology();
-      auto set_both = [&](net::NodeId a, net::NodeId b,
-                          const std::vector<FaultWindow>& windows) {
-        const auto pairs = to_pairs(windows);
-        fabric_->link(a, b)->set_outage_windows(pairs);
-        if (Link* down = fabric_->link(b, a)) down->set_outage_windows(pairs);
-      };
-      for (std::size_t i = 0; i < devices_.size(); ++i)
-        set_both(dev_node(i), ap_node(i), timeline_.link_down[i]);
-      ap_windows_.assign(static_cast<std::size_t>(topo.num_aps()), {});
-      for (const auto& w : timeline_.ap_down) {
-        if (w.device < 0)
-          for (auto& lane : ap_windows_) lane.push_back(w);
-        else
-          ap_windows_[static_cast<std::size_t>(w.device)].push_back(w);
-      }
-      for (std::size_t a = 0; a < ap_windows_.size(); ++a) {
-        ap_windows_[a] = merge_windows(std::move(ap_windows_[a]));
-        if (ap_windows_[a].empty()) continue;
-        const int ap = static_cast<int>(a);
-        set_both(net::NodeId::ap(ap), net::NodeId::edge(topo.edge_of(ap)),
-                 ap_windows_[a]);
-      }
-    } else if (shared_ap_) {
-      // Shared medium: every outage window silences the one AP.
-      std::vector<FaultWindow> all;
-      for (const auto& lane : timeline_.link_down)
-        all.insert(all.end(), lane.begin(), lane.end());
-      shared_windows_ = merge_windows(std::move(all));
-      shared_ap_->set_outage_windows(to_pairs(shared_windows_));
-    } else {
-      for (std::size_t i = lo_; i < hi_; ++i)
-        devices_[i]->uplink->set_outage_windows(
-            to_pairs(timeline_.link_down[i]));
-    }
+    net_.apply_faults(timeline_);
     for (const auto& w : timeline_.edge_down) {
       queue_.schedule(w.start, EventKind::kFaultWindow,
                       [this] { on_edge_crash(); });
@@ -621,14 +463,6 @@ class Simulation {
         queue_.schedule(e.rejoin, EventKind::kChurn,
                         [this, d] { on_churn(d, true); });
     }
-  }
-
-  bool link_up_now(std::size_t i) const {
-    if (!faults_on_) return true;
-    const double now = queue_.now();
-    if (shared_ap_) return !down_at(shared_windows_, now);
-    return !down_at(timeline_.link_down[i], now) &&
-           !(fabric_ && down_at(ap_windows_[ap_of(i)], now));
   }
 
   void on_edge_crash() {
@@ -762,30 +596,17 @@ class Simulation {
     s.partition = &cfg_.partition;
     s.device_flops = dev.spec->flops;
     s.edge_share_flops = dev.edge_share->flops();
-    double latency = 0.0;
-    double backlog = 0.0;
-    if (fabric_) {
-      // Route aggregates stand in for the single-link observation: the
-      // bottleneck bandwidth (min over hops), total propagation latency
-      // and total queued backlog along device -> edge. A crowded AP
-      // backhaul thus feeds straight into the eq. 8 budget and steers the
-      // controller exactly like a shaped flat uplink would.
-      s.bandwidth = fabric_->route_bandwidth_at(dev_node(i), edge_node(), now);
-      latency = fabric_->route_latency_at(dev_node(i), edge_node(), now);
-      backlog = fabric_->route_backlog_bytes(dev_node(i), edge_node(), now);
-    } else {
-      s.bandwidth = dev.tx->bandwidth_at(now);
-      latency = dev.tx->latency_at(now) + dev.tx_extra_latency;
-      backlog = dev.tx->backlog_bytes(now);
-    }
+    const net::RouteState path = net_.observe(i, now);
+    s.bandwidth = path.bandwidth;
     // Clamp so tau > latency always holds for the decision model even
     // under extreme shaping traces.
-    s.latency = std::min(latency, 0.9 * cfg_.lyapunov.tau);
+    s.latency = std::min(path.latency, 0.9 * cfg_.lyapunov.tau);
     s.queue_device = dev.cpu->pending(JobClass::kBlock1);
     s.queue_edge = dev.edge_share->pending(JobClass::kBlock1);
-    s.uplink_backlog_bytes = cfg_.uplink_backlog_feedback ? backlog : 0.0;
+    s.uplink_backlog_bytes =
+        cfg_.uplink_backlog_feedback ? path.backlog_bytes : 0.0;
     s.arrivals = dev.arrival_estimate;
-    s.edge_available = !faults_on_ || (edge_up_now_ && link_up_now(i));
+    s.edge_available = !faults_on_ || (edge_up_now_ && net_.link_up(i, now));
     s.config = cfg_.lyapunov;
     return s;
   }
@@ -846,7 +667,7 @@ class Simulation {
       tel.penalty = state.config.V * core::slot_cost(state, dev.x);
       tel.drift = core::drift_plus_penalty(state, dev.x) - tel.penalty;
       tel.edge_up = !faults_on_ || edge_up_now_;
-      tel.link_up = link_up_now(i);
+      tel.link_up = net_.link_up(i, queue_.now());
       tel.edge_share_flops = dev.edge_share->flops();
       // Eq. 4-9 component predictions at decision time; the attribution
       // layer joins them against the realized ledger at task completion.
@@ -978,9 +799,9 @@ class Simulation {
   }
 
   /// The step after `step` under the exit rule: the task leaves at its
-  /// exit block, paying a result return when results are modelled. The
-  /// flat cloud-return link lands at the edge, so the edge -> device
-  /// return follows; the fabric routes cloud -> device as one flow.
+  /// exit block, paying a result return when results are modelled. A
+  /// cloud return that lands at the edge continues as the edge -> device
+  /// return.
   std::optional<Step> next_step(const TaskRecord& rec, Step step) const {
     const bool results = cfg_.result_bytes > 0.0;
     switch (step) {
@@ -1000,7 +821,7 @@ class Simulation {
         if (results) return Step::kCloudReturn;
         return std::nullopt;
       case Step::kCloudReturn:
-        if (cloud_return_link_) return Step::kEdgeReturn;
+        if (net_.cloud_return_lands_at_edge()) return Step::kEdgeReturn;
         return std::nullopt;
       case Step::kEdgeReturn: return std::nullopt;
     }
@@ -1009,10 +830,9 @@ class Simulation {
   }
 
   /// Begins `step` for task `id`: the only code that opens an observer
-  /// phase, submits to a FIFO server or starts a transfer, refuses edge
-  /// work while the edge is down, and hands edge->cloud transfers to the
-  /// sharded hub. Every start ends in finish() with the attempt it was
-  /// issued under.
+  /// phase, submits to a FIFO server or starts a network leg, and refuses
+  /// edge work while the edge is down. Every start ends in finish() with
+  /// the attempt it was issued under.
   void start(std::size_t i, std::size_t id, Step step) {
     LEIME_PROF_SCOPE("leime.sim.ev.start");
     const StepSpec& spec = kSteps[static_cast<std::size_t>(step)];
@@ -1028,22 +848,13 @@ class Simulation {
     rec.step = step;
     rec.waiting = false;
     const int att = rec.attempt;
-    if (step == Step::kEdgeCloud && role_.active()) {
-      // Cross-shard leg: record the admission; the coordinator replays the
-      // shared hub link in global admission order at the next barrier and
-      // injects the delivery back into this shard. (Sharded obs is
-      // metrics-only, where the phase hooks are no-ops, so skipping the
-      // phase begin here changes nothing observable.)
-      role_.outbox->push_back({now, i, id, att});
-      return;
-    }
     const double amount =
         spec.payload ? cfg_.partition.*spec.payload : cfg_.result_bytes;
-    // The resource: a FIFO server, a flat link, or (neither) the fabric
-    // for transfers and the uncontended cloud for block 3.
+    // The resource: a FIFO server, the uncontended cloud for block 3, or
+    // a network leg for a transfer.
     FifoProcessor* server = nullptr;
-    Link* link = nullptr;
-    std::string_view track = compute ? "cloud" : "fabric";
+    Network::Leg leg;
+    std::string_view track = "cloud";
     double busy = now;
     if (compute) {
       server = spec.from == Tier::kDevice ? dev.cpu.get()
@@ -1053,13 +864,10 @@ class Simulation {
         track = server->name();
         busy = server->busy_until();
       }
-    } else if (!fabric_) {
-      link = spec.from == Tier::kDevice  ? dev.tx
-             : spec.to == Tier::kCloud   ? edge_cloud_link_.get()
-             : spec.from == Tier::kCloud ? cloud_return_link_.get()
-                                         : dev.downlink.get();
-      track = link->name();
-      busy = link->busy_until();
+    } else {
+      leg = net_.leg(spec.from, spec.to, i);
+      track = leg.track;
+      busy = leg.busy;
     }
     if (obs_)
       obs_->on_phase_begin(id, static_cast<int>(i), step, track, now,
@@ -1069,17 +877,12 @@ class Simulation {
     };
     if (server) {
       server->submit(amount, spec.cls, done);
-    } else if (link) {
-      link->transfer(amount,
-                     spec.from == Tier::kDevice ? dev.tx_extra_latency : 0.0,
-                     done);
     } else if (compute) {
       queue_.schedule(now + amount / cfg_.cloud_flops,
                       EventKind::kCloudService,
                       [this, done] { done(queue_.now()); });
     } else {
-      fabric_->transfer(tier_node(spec.from, i), tier_node(spec.to, i),
-                        amount, flow_tag(id, att), done);
+      net_.send(leg, amount, id, att, done);
     }
     if (step == Step::kUpRaw && deg().task_timeout > 0.0) {
       // Bounded-retry watchdog for offloaded dispatches. It reads the
@@ -1125,12 +928,7 @@ class Simulation {
   SimResult finalize() const {
     LEIME_PROF_SCOPE("leime.sim.finalize");
     SimResult out = finalize_impl(cfg_, tasks_, agg_);
-    if (fabric_) {
-      const auto& ns = fabric_->stats();
-      out.net = {true,     ns.transfers, ns.delivered,
-                 ns.hops,  ns.drops,     ns.bytes,
-                 fabric_->max_backlog_bytes()};
-    }
+    out.net = net_.stats();
     return out;
   }
 
@@ -1158,13 +956,10 @@ class Simulation {
   std::size_t lo_ = 0;
   std::size_t hi_ = 0;
   EventQueue queue_;
+  Network net_;
   /// Index-aligned with cfg_.devices; entries outside [lo_, hi_) are null
   /// in sharded mode (another shard owns them).
   std::vector<std::unique_ptr<DeviceRuntime>> devices_;
-  std::unique_ptr<Link> edge_cloud_link_;
-  std::unique_ptr<Link> cloud_return_link_;
-  std::unique_ptr<Link> shared_ap_;
-  std::unique_ptr<net::Fabric> fabric_;  ///< topology mode; else nullptr
   std::unique_ptr<FifoProcessor> cloud_;
   std::unique_ptr<core::OffloadPolicy> policy_;
   /// Set iff cfg_.policy_core.batch_eq20.
@@ -1192,8 +987,6 @@ class Simulation {
   // Fault-layer state.
   bool faults_on_ = false;
   FaultTimeline timeline_;
-  std::vector<FaultWindow> shared_windows_;  ///< merged, shared-AP mode
-  std::vector<std::vector<FaultWindow>> ap_windows_;  ///< merged, per AP
   bool edge_up_now_ = true;
   std::vector<char> present_;
 };

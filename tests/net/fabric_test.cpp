@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,10 +33,9 @@ Topology grid(int num_devices, int num_aps) {
 
 TEST(Fabric, SingleFlowStoreAndForwardTiming) {
   sim::EventQueue q;
-  Topology topo(1, 1, 1);
+  Topology topo(1, 1, {200.0, 0.05});
   topo.attach_device(0, 0, {100.0, 0.5});
-  topo.attach_ap(0, 0, {50.0, 0.1});
-  topo.attach_edge(0, {200.0, 0.05});
+  topo.attach_ap(0, {50.0, 0.1});
   Fabric fabric(q, topo);
 
   double t = -1.0;
@@ -68,7 +69,7 @@ TEST(Fabric, CongestionEmergesAtSharedAp) {
     Fabric fabric(q, grid(2, num_aps));
     std::vector<double> done;
     for (int d = 0; d < 2; ++d)
-      fabric.transfer(NodeId::device(d), NodeId::edge(0), 100.0,
+      fabric.transfer(NodeId::device(d), NodeId::edge(), 100.0,
                       [&](double t) { done.push_back(t); });
     q.run_all();
     std::sort(done.begin(), done.end());
@@ -93,7 +94,7 @@ TEST(Fabric, QueueLimitDropsSignalKDropped) {
 
   int delivered = 0, dropped = 0;
   for (int d = 0; d < 3; ++d)
-    fabric.transfer(NodeId::device(d), NodeId::edge(0), 100.0, [&](double t) {
+    fabric.transfer(NodeId::device(d), NodeId::edge(), 100.0, [&](double t) {
       t < 0.0 ? ++dropped : ++delivered;
     });
   q.run_all();
@@ -105,7 +106,7 @@ TEST(Fabric, QueueLimitDropsSignalKDropped) {
   EXPECT_EQ(fabric.stats().delivered, 2u);
   EXPECT_EQ(fabric.stats().drops, 1u);
   const auto* port =
-      fabric.router(NodeId::ap(0)).find_port(NodeId::edge(0));
+      fabric.router(NodeId::ap(0)).find_port(NodeId::edge());
   ASSERT_NE(port, nullptr);
   EXPECT_EQ(port->stats.drops, 1u);
 }
@@ -113,7 +114,7 @@ TEST(Fabric, QueueLimitDropsSignalKDropped) {
 TEST(Fabric, DuplexPortsCarryReturnTraffic) {
   sim::EventQueue q1;
   Fabric uplink_only(q1, grid(1, 1));
-  EXPECT_THROW(uplink_only.transfer(NodeId::edge(0), NodeId::device(0), 10.0,
+  EXPECT_THROW(uplink_only.transfer(NodeId::edge(), NodeId::device(0), 10.0,
                                     [](double) {}),
                std::invalid_argument);
 
@@ -122,7 +123,7 @@ TEST(Fabric, DuplexPortsCarryReturnTraffic) {
   opts.duplex = true;
   Fabric fabric(q2, grid(1, 1), opts);
   double t = -1.0;
-  fabric.transfer(NodeId::edge(0), NodeId::device(0), 100.0,
+  fabric.transfer(NodeId::edge(), NodeId::device(0), 100.0,
                   [&](double tt) { t = tt; });
   q2.run_all();
   EXPECT_DOUBLE_EQ(t, 2.0);  // backhaul mirror + wireless mirror, 1s each
@@ -130,20 +131,20 @@ TEST(Fabric, DuplexPortsCarryReturnTraffic) {
 
 TEST(Fabric, RouteAggregatesAndLinkLookup) {
   sim::EventQueue q;
-  Topology topo(1, 1, 1);
+  Topology topo(1, 1, {200.0, 0.05});
   topo.attach_device(0, 0, {100.0, 0.5});
-  topo.attach_ap(0, 0, {50.0, 0.1});
-  topo.attach_edge(0, {200.0, 0.05});
+  topo.attach_ap(0, {50.0, 0.1});
   Fabric fabric(q, topo);
 
   const auto dev = NodeId::device(0);
   const auto cloud = NodeId::cloud();
-  EXPECT_DOUBLE_EQ(fabric.route_bandwidth_at(dev, cloud, 0.0), 50.0);
-  EXPECT_DOUBLE_EQ(fabric.route_latency_at(dev, cloud, 0.0), 0.65);
-  EXPECT_DOUBLE_EQ(fabric.route_backlog_bytes(dev, cloud, 0.0), 0.0);
+  const RouteState idle = fabric.route_state(dev, cloud, 0.0);
+  EXPECT_DOUBLE_EQ(idle.bandwidth, 50.0);
+  EXPECT_DOUBLE_EQ(idle.latency, 0.65);
+  EXPECT_DOUBLE_EQ(idle.backlog_bytes, 0.0);
 
   fabric.transfer(dev, cloud, 100.0, [](double) {});
-  EXPECT_DOUBLE_EQ(fabric.route_backlog_bytes(dev, cloud, 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(fabric.route_state(dev, cloud, 0.0).backlog_bytes, 100.0);
 
   EXPECT_NE(fabric.link(dev, NodeId::ap(0)), nullptr);
   EXPECT_EQ(fabric.link(NodeId::ap(0), dev), nullptr);  // no duplex mirror
@@ -186,9 +187,9 @@ TEST(Fabric, SteadyStateFlowsRunWithZeroAllocations) {
   std::uint64_t delivered = 0;
   const auto blast = [&] {
     for (int d = 0; d < 4; ++d) {
-      fabric.transfer(NodeId::device(d), NodeId::edge(0), 100.0,
+      fabric.transfer(NodeId::device(d), NodeId::edge(), 100.0,
                       [&](double) { ++delivered; });
-      fabric.transfer(NodeId::edge(0), NodeId::device(d), 50.0,
+      fabric.transfer(NodeId::edge(), NodeId::device(d), 50.0,
                       [&](double) { ++delivered; });
     }
     q.run_all();
@@ -218,6 +219,35 @@ TEST(Fabric, RepeatedRunsAreDeterministic) {
     return done;
   };
   EXPECT_EQ(run(), run());  // byte-identical completion order and times
+}
+
+// A route-cache miss climbs one branch of the tree; it does not scan the
+// whole tree. A fleet's first decision epoch observes one device -> edge
+// route per device, so that pass must scale linearly with the fleet size.
+// Times it at 4,096 and at 65,536 devices (128 per AP, the minimum of three
+// runs each): linear code gives a ratio of about 16-25, a per-miss scan of
+// the tree about 250.
+TEST(Fabric, FirstRoutePassScalesLinearly) {
+  const auto first_pass_s = [](int devices) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 3; ++run) {
+      sim::EventQueue q;
+      Fabric fabric(q, grid(devices, devices / 128));
+      double bandwidth = 0.0;
+      const auto start = std::chrono::steady_clock::now();
+      for (int d = 0; d < devices; ++d)
+        bandwidth +=
+            fabric.route_state(NodeId::device(d), NodeId::edge(), 0.0).bandwidth;
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      EXPECT_DOUBLE_EQ(bandwidth, 100.0 * devices);
+      best = std::min(best, took.count());
+    }
+    return best;
+  };
+  const double small = first_pass_s(4096);
+  const double large = first_pass_s(65536);
+  EXPECT_LT(large / small, 64.0) << small << " s vs " << large << " s";
 }
 
 TEST(Fabric, NegativeBytesThrow) {

@@ -23,7 +23,7 @@ TEST(Router, PortNamesAndLookup) {
 TEST(Router, SendSerializesFifoAndCounts) {
   sim::EventQueue q;
   Router r(q, NodeId::ap(0));
-  auto& port = r.add_port(NodeId::edge(0), {100.0, 0.5}, 0.0);
+  auto& port = r.add_port(NodeId::edge(), {100.0, 0.5}, 0.0);
   std::vector<double> done;
   EXPECT_TRUE(r.send(port, 200.0, [&](double t) { done.push_back(t); }));
   EXPECT_TRUE(r.send(port, 100.0, [&](double t) { done.push_back(t); }));
@@ -42,7 +42,7 @@ TEST(Router, SendSerializesFifoAndCounts) {
 TEST(Router, QueueLimitDropsExcessFlows) {
   sim::EventQueue q;
   Router r(q, NodeId::ap(0));
-  auto& port = r.add_port(NodeId::edge(0), {100.0, 0.0}, 150.0);
+  auto& port = r.add_port(NodeId::edge(), {100.0, 0.0}, 150.0);
   int delivered = 0, not_sent = 0;
   // 100 admitted (backlog 0 -> 100), second 100 would reach 200 > 150.
   EXPECT_TRUE(r.send(port, 100.0, [&](double) { ++delivered; }));
@@ -57,7 +57,7 @@ TEST(Router, QueueLimitDropsExcessFlows) {
 
 TEST(Router, ZeroByteControlTrafficBypassesQueueLimit) {
   sim::EventQueue q;
-  Router r(q, NodeId::edge(0));
+  Router r(q, NodeId::edge());
   auto& port = r.add_port(NodeId::cloud(), {100.0, 0.25}, 50.0);
   EXPECT_TRUE(r.send(port, 50.0, [](double) {}));
   double t = -1.0;
