@@ -12,8 +12,9 @@
 // There is one edge (the paper's single edge server), so the tree is fixed
 // above the access points. A Topology is pure data — node counts, the
 // device -> AP attachment map and per-link bandwidth/latency specs — with
-// static route computation (the tree makes every route unique). net::Fabric (fabric.h) instantiates it into routers
-// with per-output-port FIFO queues on a sim::EventQueue.
+// static route computation (the tree makes every route unique).
+// net::Fabric (fabric.h) instantiates it into routers with per-output-port
+// FIFO queues on a sim::EventQueue.
 //
 // TopologyConfig is the INI-facing subset carried by sim::ScenarioConfig
 // (the `[topology]` section): it only describes the access-point tier; the

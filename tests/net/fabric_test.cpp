@@ -236,8 +236,8 @@ TEST(Fabric, FirstRoutePassScalesLinearly) {
       double bandwidth = 0.0;
       const auto start = std::chrono::steady_clock::now();
       for (int d = 0; d < devices; ++d)
-        bandwidth +=
-            fabric.route_state(NodeId::device(d), NodeId::edge(), 0.0).bandwidth;
+        bandwidth += fabric.route_state(NodeId::device(d), NodeId::edge(), 0.0)
+                         .bandwidth;
       const std::chrono::duration<double> took =
           std::chrono::steady_clock::now() - start;
       EXPECT_DOUBLE_EQ(bandwidth, 100.0 * devices);

@@ -30,6 +30,7 @@ TEST(Topology, AccessorsReflectAttachments) {
   topo.validate();
   EXPECT_EQ(topo.ap_of(0), 0);
   EXPECT_EQ(topo.ap_of(2), 1);
+  EXPECT_EQ(topo.parent(NodeId::ap(1)), NodeId::edge());
   EXPECT_DOUBLE_EQ(topo.device_up(1).bandwidth, 200.0);
   EXPECT_DOUBLE_EQ(topo.ap_up(1).latency, 0.002);
   EXPECT_DOUBLE_EQ(topo.edge_up().bandwidth, 5000.0);
