@@ -887,7 +887,7 @@ class Simulation {
     if (step == Step::kUpRaw && deg().task_timeout > 0.0) {
       // Bounded-retry watchdog for offloaded dispatches. It reads the
       // attempt afresh: a fabric drop may already have retried the upload
-      // synchronously inside transfer().
+      // synchronously inside send().
       const int watched = tasks_[id].attempt;
       queue_.schedule_in(deg().task_timeout, EventKind::kTaskTimeout,
                          [this, i, id, watched] {
