@@ -1,29 +1,30 @@
 // Flow-level transfer API over the routed multi-hop fabric.
 //
-// Fabric instantiates a Topology into per-node Routers on one
-// sim::EventQueue and exposes transfer(src, dst, bytes, done): the flow is
-// carried hop by hop — each hop queues FIFO behind every other flow sharing
-// that output port, so a crowd of devices behind one access point congests
-// the AP backhaul without any scripted bandwidth trace.
+// Fabric builds the fixed device -> AP -> edge -> cloud tree (topology.h)
+// as one table of output ports on one sim::EventQueue and exposes
+// transfer(src, dst, bytes, done): the flow is carried hop by hop — each
+// hop queues FIFO behind every other flow sharing that output port, so a
+// crowd of devices behind one access point congests the AP backhaul
+// without any scripted bandwidth trace.
 //
 // Determinism: the fabric adds no randomness and no wall-clock reads. A
 // flow's trajectory is a pure function of the event-queue order (each hop is
 // one kTransferDone event), so fabric runs inherit the simulator's
 // bit-determinism across runtime executor thread counts.
 //
-// Allocation: flows live in a pooled free list and hop completions are
-// InlineFn-backed, so the steady state performs no heap allocation (the
-// pool and the route cache grow only while new flow shapes first appear).
+// Allocation: routes are computed from the tree on every call, flows live
+// in a pooled free list and hop completions are InlineFn-backed, so the
+// steady state performs no heap allocation (the pool grows only while the
+// number of flows in flight reaches a new peak).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "net/router.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
 #include "sim/resources.h"
@@ -43,24 +44,45 @@ struct RouteState {
   double backlog_bytes = 0.0;
 };
 
-struct FabricOptions {
-  /// Materialize the mirror (root -> leaf) ports so results can be routed
-  /// back down. Off by default: uplink-only scenarios skip the extra links
-  /// entirely.
-  bool duplex = false;
-  /// Admission cap applied to every port (see TopologyConfig); 0 =
-  /// unbounded.
-  double queue_limit_bytes = 0.0;
+/// Per-port counters, cheap enough to keep always-on. busy_time integrates
+/// serialization occupancy (for utilization = busy_time / horizon);
+/// peak_backlog_bytes records the high-water mark seen at admission.
+struct PortStats {
+  std::uint64_t transfers = 0;
+  std::uint64_t drops = 0;
+  double bytes = 0.0;
+  double busy_time = 0.0;
+  double peak_backlog_bytes = 0.0;
 };
 
 class Fabric {
  public:
   using Completion = sim::Completion;
-  using Options = FabricOptions;
 
-  /// Builds one router per topology node with a port per (directed) tree
-  /// edge. The topology must validate().
-  Fabric(sim::EventQueue& queue, Topology topology, Options options = {});
+  /// One directed tree edge: the FIFO output queue of its source node. The
+  /// link does the serialization, so bandwidth/latency traces and outage
+  /// windows behave exactly like the flat simulator's links.
+  struct Port {
+    std::string name;      ///< "<src>_<dst>", e.g. "dev3_ap0" — metric-safe
+    std::uint32_t id = 0;  ///< fabric-wide port id (Fabric::port(id))
+    PortStats stats;
+    sim::Link link;
+  };
+
+  /// Builds the tree's ports: device i's wireless uplink
+  /// `device_uplinks[i]` to its AP (config.device_map, or round-robin),
+  /// every AP's backhaul from the config and the edge's cloud uplink
+  /// `edge_cloud`. `duplex` adds each link's mirror (same spec) so results
+  /// can be routed back down; uplink-only scenarios skip them. The config
+  /// must be enabled() and validate() against device_uplinks.size(), and
+  /// every spec must validate().
+  Fabric(sim::EventQueue& queue, const TopologyConfig& config,
+         const std::vector<LinkSpec>& device_uplinks, LinkSpec edge_cloud,
+         bool duplex = false);
+
+  // A port's link hands its own address to its pending events.
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   /// A dropped flow fires its completion with this time (< 0): a queue
   /// limit was exceeded at some hop. Bytes already serialized on earlier
@@ -99,20 +121,21 @@ class Fabric {
   void transfer(NodeId src, NodeId dst, double bytes, std::uint64_t tag,
                 Completion done);
 
-  /// The underlying link of the directed port src -> dst (one hop), e.g.
-  /// to attach bandwidth traces or outage windows; nullptr when absent.
-  sim::Link* link(NodeId src, NodeId dst);
+  /// The port of the one hop src -> dst: src's uplink to its parent, or
+  /// (duplex only) the parent's downlink to its child dst, e.g. to attach
+  /// bandwidth traces or outage windows; nullptr when there is none.
+  Port* port(NodeId src, NodeId dst);
 
-  Router& router(NodeId node);
-
-  /// Ports by fabric-wide id: dense, 0 .. num_ports() - 1, numbered in
-  /// router order (devices, APs, the edge, cloud) and port order within a
-  /// router. Router::Port::id holds the same number.
+  /// Ports by fabric-wide id: dense, 0 .. num_ports() - 1, numbered by
+  /// source node (devices, APs, the edge, cloud) and, within a node, its
+  /// downlinks in child order before its uplink.
   std::size_t num_ports() const { return ports_.size(); }
-  const Router::Port& port(std::uint32_t id) const { return *ports_[id]; }
+  const Port& port(std::uint32_t id) const { return ports_[id]; }
 
-  /// The route-aggregate observation along src -> dst at time t, from one
-  /// route lookup.
+  /// The AP device `device` is attached to.
+  int ap_of(int device) const;
+
+  /// The route-aggregate observation along src -> dst at time t.
   RouteState route_state(NodeId src, NodeId dst, double t) const;
 
   /// Whether every hop of src -> dst is outside its outage windows at t.
@@ -136,48 +159,58 @@ class Fabric {
   /// duration.
   void export_metrics(obs::MetricsRegistry& registry, double horizon) const;
 
-  const Topology& topology() const { return topology_; }
-
   /// Flow-pool slots ever allocated (for zero-allocation gates: stable
   /// once the pool covers the peak number of in-flight flows).
   std::size_t flow_pool_capacity() const { return flows_.size(); }
 
  private:
-  struct Hop {
-    Router* router = nullptr;
-    Router::Port* port = nullptr;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// A non-cloud node, indexed by its slot: devices, then APs, then the
+  /// edge; the cloud's slot is one past the last. A parent's slot is
+  /// always greater than its child's.
+  struct Node {
+    int parent = 0;              ///< the parent's slot
+    std::uint32_t up = 0;        ///< port id of the uplink to the parent
+    std::uint32_t down = kNone;  ///< the parent's downlink here (duplex)
   };
-  struct CachedRoute {
-    std::array<Hop, Topology::Route::kMaxHops> hops;
+
+  /// The port ids of a route's hops in order: the up-path from src to the
+  /// lowest common ancestor, then the down-path to dst (device -> cloud ->
+  /// device is the longest, six hops).
+  struct Route {
+    std::array<std::uint32_t, 6> ports{};
     int count = 0;
   };
+
   struct Flow {
     double bytes = 0.0;
     Completion done;
-    const CachedRoute* route = nullptr;
+    Route route;
     int next_hop = 0;
-    std::uint32_t next_free = 0;  ///< free-list link (kNoFlow = end)
+    std::uint32_t next_free = 0;  ///< free-list link (kNone = end)
     // Hop-span state (lives in the pooled slot, not in the per-hop
     // completion capture, which must stay within kCompletionCapacity).
     std::uint64_t tag = kNoTag;
     double hop_queued = 0.0;  ///< when the current hop entered its port
     double hop_exec = 0.0;    ///< when the port's link starts serializing
   };
-  static constexpr std::uint32_t kNoFlow = 0xffffffffu;
 
-  const CachedRoute& resolve(NodeId src, NodeId dst);
+  int slot(NodeId node) const;
+  Route route(NodeId src, NodeId dst) const;
   std::uint32_t acquire_flow();
   void release_flow(std::uint32_t id);
   void advance(std::uint32_t id, double t);
 
   sim::EventQueue* queue_;
-  Topology topology_;
-  Options options_;
-  std::vector<Router> routers_;  ///< devices, then APs, the edge, cloud
-  std::vector<const Router::Port*> ports_;  ///< by fabric-wide port id
-  std::unordered_map<std::uint64_t, CachedRoute> route_cache_;
+  int num_devices_;
+  int num_aps_;
+  double queue_limit_bytes_;  ///< per port; 0 = unbounded
+  /// By port id; sized once in the constructor and never grown.
+  std::vector<Port> ports_;
+  std::vector<Node> nodes_;  ///< by slot
   std::vector<Flow> flows_;
-  std::uint32_t free_head_ = kNoFlow;
+  std::uint32_t free_head_ = kNone;
   Stats stats_;
   HopTap hop_tap_;
 };

@@ -5,16 +5,15 @@
 // bandwidth traces. Real "in the wild" deployments share backhaul: many
 // devices associate with one access point, several access points uplink
 // into one edge server, and contention among flows is what actually creates
-// congestion. This header describes that tree declaratively:
+// congestion. The tree is fixed:
 //
 //     device --wireless--> access point --backhaul--> edge --WAN--> cloud
 //
-// There is one edge (the paper's single edge server), so the tree is fixed
-// above the access points. A Topology is pure data — node counts, the
-// device -> AP attachment map and per-link bandwidth/latency specs — with
-// static route computation (the tree makes every route unique).
-// net::Fabric (fabric.h) instantiates it into routers with per-output-port
-// FIFO queues on a sim::EventQueue.
+// There is one edge (the paper's single edge server), so only the access
+// point tier has a shape: how many APs, their backhaul and which AP each
+// device joins. This header holds the node names and that shape;
+// net::Fabric (fabric.h) builds the tree's ports from it on a
+// sim::EventQueue.
 //
 // TopologyConfig is the INI-facing subset carried by sim::ScenarioConfig
 // (the `[topology]` section): it only describes the access-point tier; the
@@ -23,10 +22,8 @@
 // effectively infinite AP bandwidth) reproduces the flat model.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace leime::net {
@@ -60,6 +57,10 @@ struct LinkSpec {
   double bandwidth = 0.0;
   double latency = 0.0;
 
+  /// Throws std::invalid_argument naming `what` unless the bandwidth is
+  /// finite and > 0 and the latency finite and >= 0.
+  void validate(const char* what) const;
+
   friend bool operator==(const LinkSpec&, const LinkSpec&) = default;
 };
 
@@ -88,63 +89,6 @@ struct TopologyConfig {
 
   friend bool operator==(const TopologyConfig&,
                          const TopologyConfig&) = default;
-};
-
-/// The expanded tree: every node attached, every link specced. Built either
-/// directly (tests, exotic layouts) or via from_config (the simulator).
-class Topology {
- public:
-  /// num_devices >= 0 devices and num_aps >= 1 access points under the one
-  /// edge, whose cloud uplink is `edge_cloud`. Attachments start unset;
-  /// validate() throws while any are missing.
-  Topology(int num_devices, int num_aps, LinkSpec edge_cloud);
-
-  void attach_device(int device, int ap, LinkSpec up);
-  void attach_ap(int ap, LinkSpec up);
-
-  /// Throws std::invalid_argument when any device or AP is unattached.
-  /// A scan of the whole tree: call it once, after the last attachment
-  /// (net::Fabric's constructor does).
-  void validate() const;
-
-  int num_devices() const { return num_devices_; }
-  int num_aps() const { return num_aps_; }
-
-  int ap_of(int device) const { return ap_of_device_[device]; }
-  const LinkSpec& device_up(int device) const { return device_up_[device]; }
-  const LinkSpec& ap_up(int ap) const { return ap_up_[ap]; }
-  const LinkSpec& edge_up() const { return edge_up_; }
-
-  /// Parent in the tree; cloud has none (throws).
-  NodeId parent(NodeId node) const;
-
-  /// The unique tree route src -> dst as a sequence of directed hops
-  /// (src-of-hop, dst-of-hop). Hops toward the root use the uplink specs;
-  /// hops away from the root are the mirror (duplex) direction, which the
-  /// fabric only materializes when built with duplex ports. Climbs only the
-  /// two endpoints' branches (O(depth)); it does not validate() the tree.
-  struct Route {
-    static constexpr int kMaxHops = 6;  ///< device -> cloud -> device
-    std::array<std::pair<NodeId, NodeId>, kMaxHops> hops;
-    int count = 0;
-  };
-  Route route(NodeId src, NodeId dst) const;
-
-  /// Expands a TopologyConfig: per-device wireless uplinks from
-  /// `device_uplinks`, AP backhaul from the config, the edge -> cloud link
-  /// from `edge_cloud`. The config must be enabled() and validate() against
-  /// device_uplinks.size().
-  static Topology from_config(const TopologyConfig& config,
-                              const std::vector<LinkSpec>& device_uplinks,
-                              LinkSpec edge_cloud);
-
- private:
-  int num_devices_;
-  int num_aps_;
-  std::vector<int> ap_of_device_;
-  std::vector<LinkSpec> device_up_;
-  std::vector<LinkSpec> ap_up_;  ///< bandwidth 0 = not attached yet
-  LinkSpec edge_up_;
 };
 
 }  // namespace leime::net

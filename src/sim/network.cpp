@@ -34,27 +34,26 @@ Network::Network(EventQueue& queue, const ScenarioConfig& cfg, std::size_t lo,
     std::vector<net::LinkSpec> uplinks;
     for (const auto& spec : cfg.devices)
       uplinks.push_back({spec.uplink_bw, spec.uplink_lat});
-    net::FabricOptions fopts;
-    fopts.duplex = results;
-    fopts.queue_limit_bytes = cfg.topology.queue_limit_bytes;
     fabric_ = std::make_unique<net::Fabric>(
-        queue,
-        net::Topology::from_config(cfg.topology, uplinks,
-                                   {cfg.edge_cloud_bw, cfg.edge_cloud_lat}),
-        fopts);
+        queue, cfg.topology, uplinks,
+        net::LinkSpec{cfg.edge_cloud_bw, cfg.edge_cloud_lat}, results);
   } else {
-    // Reserved up front: a link's pending transfers point back at it.
-    uplinks_.reserve(hi - lo);
+    // Every upload of the shared-AP mode crosses the AP, so its devices
+    // get no uplink of their own. Reserved up front: a link's pending
+    // transfers point back at it.
+    const bool shared = cfg.shared_uplink_bw > 0.0;
+    if (!shared) uplinks_.reserve(hi - lo);
     if (results) downlinks_.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) {
       const auto& spec = cfg.devices[i];
-      uplinks_.emplace_back(queue, "uplink" + std::to_string(i),
-                            spec.uplink_bw, spec.uplink_lat);
+      if (!shared)
+        uplinks_.emplace_back(queue, "uplink" + std::to_string(i),
+                              spec.uplink_bw, spec.uplink_lat);
       if (results)
         downlinks_.emplace_back(queue, "downlink" + std::to_string(i),
                                 spec.uplink_bw, spec.uplink_lat);
     }
-    if (cfg.shared_uplink_bw > 0.0)
+    if (shared)
       shared_ap_.emplace(queue, "shared-ap", cfg.shared_uplink_bw, 0.0);
     if (!outbox)
       edge_cloud_.emplace(queue, "edge-cloud", cfg.edge_cloud_bw,
@@ -64,11 +63,20 @@ Network::Network(EventQueue& queue, const ScenarioConfig& cfg, std::size_t lo,
                             cfg.edge_cloud_lat);
   }
   // The device's wireless hop, the fabric's device -> AP port or its own
-  // flat uplink, follows the device's traces either way.
+  // flat uplink, follows the device's traces either way. The shared AP
+  // carries none, but a device link the mode leaves out is checked all
+  // the same.
   for (std::size_t i = lo; i < hi; ++i) {
     const auto& spec = cfg.devices[i];
-    Link& wireless = fabric_ ? *fabric_->link(node(Tier::kDevice, i),
-                                              net::NodeId::ap(ap_of(i)))
+    if (shared_ap_) {
+      validate_link(spec.uplink_bw, spec.uplink_lat,
+                    spec.uplink_bw_trace ? &*spec.uplink_bw_trace : nullptr,
+                    spec.uplink_lat_trace ? &*spec.uplink_lat_trace : nullptr);
+      continue;
+    }
+    Link& wireless = fabric_ ? fabric_->port(node(Tier::kDevice, i),
+                                             net::NodeId::ap(ap_of(i)))
+                                   ->link
                              : uplinks_[i - lo];
     if (spec.uplink_bw_trace)
       wireless.set_bandwidth_trace(*spec.uplink_bw_trace);
@@ -78,8 +86,7 @@ Network::Network(EventQueue& queue, const ScenarioConfig& cfg, std::size_t lo,
 }
 
 std::size_t Network::ap_of(std::size_t i) const {
-  return static_cast<std::size_t>(
-      fabric_->topology().ap_of(static_cast<int>(i)));
+  return static_cast<std::size_t>(fabric_->ap_of(static_cast<int>(i)));
 }
 
 void Network::apply_faults(const FaultTimeline& timeline) {
@@ -95,14 +102,15 @@ void Network::apply_faults(const FaultTimeline& timeline) {
     auto set_both = [&](net::NodeId a, net::NodeId b,
                         const std::vector<FaultWindow>& windows) {
       const auto pairs = to_pairs(windows);
-      fabric_->link(a, b)->set_outage_windows(pairs);
-      if (Link* down = fabric_->link(b, a)) down->set_outage_windows(pairs);
+      fabric_->port(a, b)->link.set_outage_windows(pairs);
+      if (auto* down = fabric_->port(b, a))
+        down->link.set_outage_windows(pairs);
     };
     for (std::size_t i = lo_; i < hi_; ++i)
       set_both(node(Tier::kDevice, i), net::NodeId::ap(ap_of(i)),
                timeline.link_down[i]);
     std::vector<std::vector<FaultWindow>> ap_windows(
-        static_cast<std::size_t>(fabric_->topology().num_aps()));
+        static_cast<std::size_t>(cfg_.topology.aps));
     for (const auto& w : timeline.ap_down) {
       if (w.device < 0)
         for (auto& lane : ap_windows) lane.push_back(w);

@@ -135,7 +135,7 @@ class Network {
   std::vector<HubRequest>* outbox_;
   std::unique_ptr<net::Fabric> fabric_;  ///< topology mode; else nullptr
   // Flat modes. The per-device links cover [lo_, hi_), indexed i - lo_.
-  std::vector<Link> uplinks_;
+  std::vector<Link> uplinks_;    ///< empty in the shared-AP mode
   std::vector<Link> downlinks_;  ///< only when result_bytes > 0
   std::optional<Link> shared_ap_;
   std::optional<Link> edge_cloud_;    ///< absent in a shard (the outbox)

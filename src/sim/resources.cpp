@@ -47,29 +47,39 @@ void FifoProcessor::submit(double work, JobClass cls, Completion done) {
   });
 }
 
+void validate_link(double bandwidth, double latency,
+                   const util::PiecewiseConstant* bandwidth_trace,
+                   const util::PiecewiseConstant* latency_trace) {
+  if (!(bandwidth > 0.0))
+    throw std::invalid_argument("Link: bandwidth must be > 0");
+  if (!(latency >= 0.0))
+    throw std::invalid_argument("Link: latency must be >= 0");
+  if (bandwidth_trace)
+    for (const auto& p : bandwidth_trace->points())
+      if (!(p.value > 0.0))
+        throw std::invalid_argument("Link: bandwidth trace must stay > 0");
+  if (latency_trace)
+    for (const auto& p : latency_trace->points())
+      if (!(p.value >= 0.0))
+        throw std::invalid_argument("Link: latency trace must stay >= 0");
+}
+
 Link::Link(EventQueue& queue, std::string name, double bandwidth_bytes_per_s,
            double latency_s)
     : queue_(&queue),
       name_(std::move(name)),
       bandwidth_(bandwidth_bytes_per_s),
       latency_(latency_s) {
-  if (bandwidth_ <= 0.0)
-    throw std::invalid_argument("Link: bandwidth must be > 0");
-  if (latency_ < 0.0)
-    throw std::invalid_argument("Link: latency must be >= 0");
+  validate_link(bandwidth_, latency_);
 }
 
 void Link::set_bandwidth_trace(util::PiecewiseConstant trace) {
-  for (const auto& p : trace.points())
-    if (p.value <= 0.0)
-      throw std::invalid_argument("Link: bandwidth trace must stay > 0");
+  validate_link(bandwidth_, latency_, &trace);
   bw_trace_ = std::move(trace);
 }
 
 void Link::set_latency_trace(util::PiecewiseConstant trace) {
-  for (const auto& p : trace.points())
-    if (p.value < 0.0)
-      throw std::invalid_argument("Link: latency trace must stay >= 0");
+  validate_link(bandwidth_, latency_, nullptr, &trace);
   lat_trace_ = std::move(trace);
 }
 

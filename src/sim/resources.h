@@ -75,6 +75,14 @@ class FifoProcessor {
   std::uint32_t epoch_ = 0;
 };
 
+/// The parameter rules of a Link, its constructor's and its trace
+/// setters': bandwidth > 0 and latency >= 0, and so every point of a trace
+/// (a NaN fails both). A null trace is skipped. Throws
+/// std::invalid_argument.
+void validate_link(double bandwidth, double latency,
+                   const util::PiecewiseConstant* bandwidth_trace = nullptr,
+                   const util::PiecewiseConstant* latency_trace = nullptr);
+
 class Link {
  public:
   using Completion = sim::Completion;  ///< fires with the delivery time

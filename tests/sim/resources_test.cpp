@@ -128,6 +128,18 @@ TEST(Link, Validation) {
       std::invalid_argument);
 }
 
+TEST(Link, TraceSettersRejectNan) {
+  EventQueue q;
+  Link link(q, "l", 1.0, 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(link.set_bandwidth_trace(
+                   util::PiecewiseConstant({{0.0, 1.0}, {5.0, nan}})),
+               std::invalid_argument);
+  EXPECT_THROW(link.set_latency_trace(
+                   util::PiecewiseConstant({{0.0, 0.0}, {5.0, nan}})),
+               std::invalid_argument);
+}
+
 TEST(Link, ZeroByteTransferIsLatencyOnly) {
   EventQueue q;
   Link link(q, "l", 100.0, 0.25);

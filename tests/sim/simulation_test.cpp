@@ -136,6 +136,34 @@ TEST(Simulation, UplinkShapingSlowsTasks) {
   EXPECT_GT(slow.tct.mean, fast.tct.mean);
 }
 
+// A device's uplink traces are checked in every network mode, also the
+// shared-AP mode, which builds no device uplink to carry them.
+TEST(Simulation, InvalidUplinkTraceIsRejectedInEveryNetworkMode) {
+  const auto flat = [](ScenarioConfig&) {};
+  const auto shared_ap = [](ScenarioConfig& c) {
+    c.shared_uplink_bw = util::mbps(20.0);
+  };
+  const auto fabric = [](ScenarioConfig& c) {
+    c.topology.aps = 1;
+    c.topology.ap_bandwidth = util::mbps(20.0);
+  };
+  for (void (*mode)(ScenarioConfig&) : {+flat, +shared_ap, +fabric}) {
+    auto cfg = base_scenario(2);
+    cfg.duration = 2.0;
+    cfg.warmup = 0.0;
+    mode(cfg);
+    EXPECT_NO_THROW(run_scenario(cfg));
+    auto bad_bw = cfg;
+    bad_bw.devices[1].uplink_bw_trace =
+        util::PiecewiseConstant({{0.0, util::mbps(5.0)}, {1.0, 0.0}});
+    EXPECT_THROW(run_scenario(bad_bw), std::invalid_argument);
+    auto bad_lat = cfg;
+    bad_lat.devices[1].uplink_lat_trace =
+        util::PiecewiseConstant({{0.0, 0.01}, {1.0, -1.0}});
+    EXPECT_THROW(run_scenario(bad_lat), std::invalid_argument);
+  }
+}
+
 TEST(Simulation, Validation) {
   ScenarioConfig cfg;
   EXPECT_THROW(run_scenario(cfg), std::invalid_argument);  // no devices
