@@ -948,6 +948,7 @@ class Simulation {
                      std::to_string(rec.block),
                      rec.offloaded ? "1" : "0", rec.counted ? "1" : "0"});
     }
+    trace.close();
   }
 
   const ScenarioConfig& cfg_;

@@ -51,6 +51,7 @@ std::string TablePrinter::to_string() const {
 void TablePrinter::write_csv(const std::string& path) const {
   CsvWriter writer(path, headers_);
   for (const auto& row : rows_) writer.add_row(row);
+  writer.close();
 }
 
 std::string fmt(double value, int precision) {

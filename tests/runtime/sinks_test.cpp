@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "obs/timeseries.h"
 #include "prof/profiler.h"
 #include "sim/simulation.h"
+#include "util/table.h"
 
 namespace leime::runtime {
 namespace {
@@ -145,10 +147,12 @@ sim::ScenarioConfig firing_slo_scenario() {
   return cfg;
 }
 
-// Every file writer, pointed at a directory that does not exist, throws
-// std::runtime_error naming the path instead of dropping its output.
-TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
-  using Write = std::function<void(const std::string&)>;
+using Write = std::function<void(const std::string&)>;
+using Writers = std::vector<std::pair<std::string, Write>>;
+
+/// The writers a scenario drives: each runs firing_slo_scenario() with one
+/// output path set to the path it is given.
+Writers scenario_writers() {
   using SetPath = void (*)(sim::ScenarioConfig&, const std::string&);
   const auto run_with = [](SetPath set) -> Write {
     return [set](const std::string& path) {
@@ -157,29 +161,7 @@ TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
       sim::run_scenario(cfg);
     };
   };
-  const std::vector<std::pair<std::string, Write>> writers = {
-      {"write_csv",
-       [](const std::string& p) { write_csv(p, kAxes, sample_records()); }},
-      {"write_jsonl_file",
-       [](const std::string& p) {
-         write_jsonl_file(p, kAxes, sample_records());
-       }},
-      {"write_chrome_trace",
-       [](const std::string& p) { write_chrome_trace(p, sample_records()); }},
-      {"write_metrics_prometheus",
-       [](const std::string& p) {
-         write_metrics_prometheus(p, sample_records());
-       }},
-      {"prof_chrome_trace",
-       [](const std::string& p) { prof::write_chrome_trace_file(p, {}); }},
-      {"prof_collapsed",
-       [](const std::string& p) { prof::write_collapsed_file(p, {}); }},
-      {"save_profile_file",
-       [](const std::string& p) {
-         models::save_profile_file(models::make_squeezenet(), p);
-       }},
-      {"csv_timeseries_sink",
-       [](const std::string& p) { obs::CsvTimeseriesSink sink(p); }},
+  return {
       {"metrics_out", run_with([](sim::ScenarioConfig& c,
                                   const std::string& p) {
          c.obs.metrics_out = p;
@@ -219,16 +201,67 @@ TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
          c.task_trace_path = p;
        })},
   };
-  for (const auto& [name, write] : writers) {
-    const std::string path = "/nonexistent-dir/" + name;
-    try {
-      write(path);
-      ADD_FAILURE() << name << " did not throw";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << name << ": " << e.what();
-    }
+}
+
+/// Expects `write(path)` to throw std::runtime_error naming the path
+/// instead of dropping its output.
+void expect_throws_naming_path(const std::string& name, const Write& write,
+                               const std::string& path) {
+  try {
+    write(path);
+    ADD_FAILURE() << name << " did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << name << ": " << e.what();
   }
+}
+
+// Every file writer, pointed at a directory that does not exist, throws
+// std::runtime_error naming the path instead of dropping its output.
+TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
+  Writers writers = {
+      {"write_csv",
+       [](const std::string& p) { write_csv(p, kAxes, sample_records()); }},
+      {"write_jsonl_file",
+       [](const std::string& p) {
+         write_jsonl_file(p, kAxes, sample_records());
+       }},
+      {"write_chrome_trace",
+       [](const std::string& p) { write_chrome_trace(p, sample_records()); }},
+      {"write_metrics_prometheus",
+       [](const std::string& p) {
+         write_metrics_prometheus(p, sample_records());
+       }},
+      {"prof_chrome_trace",
+       [](const std::string& p) { prof::write_chrome_trace_file(p, {}); }},
+      {"prof_collapsed",
+       [](const std::string& p) { prof::write_collapsed_file(p, {}); }},
+      {"save_profile_file",
+       [](const std::string& p) {
+         models::save_profile_file(models::make_squeezenet(), p);
+       }},
+      {"csv_timeseries_sink",
+       [](const std::string& p) { obs::CsvTimeseriesSink sink(p); }},
+  };
+  for (auto& writer : scenario_writers()) writers.push_back(writer);
+  for (const auto& [name, write] : writers)
+    expect_throws_naming_path(name, write, "/nonexistent-dir/" + name);
+}
+
+// On a full disk the file opens and only the writes fail, the last one
+// when the file is closed: every scenario output and the bench tables'
+// CSV still throw instead of reporting success.
+TEST(Sinks, ScenarioWritersAndTableCsvThrowOnFullDisk) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this system";
+  Writers writers = scenario_writers();
+  writers.push_back({"table_write_csv", [](const std::string& p) {
+                       util::TablePrinter table({"policy", "tct"});
+                       table.add_row({"LEIME", "0.5"});
+                       table.write_csv(p);
+                     }});
+  for (const auto& [name, write] : writers)
+    expect_throws_naming_path(name, write, "/dev/full");
 }
 
 TEST(Sinks, MergedMetricsFoldsRecordsInOrder) {
