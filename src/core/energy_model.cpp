@@ -16,7 +16,6 @@ EnergyModel::EnergyModel(models::ModelProfile profile, const Environment& env,
 
 double EnergyModel::expected_energy(const ExitCombo& combo) const {
   const auto& profile = cost_.profile();
-  const auto& env = cost_.environment();
   // Compute: block 1 + the First-exit head, always on the device.
   const double device_flops = profile.prefix_flops(combo.e1) +
                               profile.exit(combo.e1).classifier_flops;

@@ -65,8 +65,8 @@ struct IniScenario {
   // leime_runtime; the caller maps them onto the executor).
   int threads = 1;            ///< executor workers for replications
   bool legacy_seeds = false;  ///< seed_mode = legacy: seeds base_seed + i
-  std::string jsonl_path;     ///< per-run JSONL telemetry, "" = off
-  std::string trace_path;     ///< chrome://tracing timeline, "" = off
+  std::string jsonl_path{};   ///< per-run JSONL telemetry, "" = off
+  std::string trace_path{};   ///< chrome://tracing timeline, "" = off
   bool progress = false;      ///< live cell counter on stderr
 };
 

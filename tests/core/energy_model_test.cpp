@@ -89,7 +89,9 @@ TEST(EnergyModel, TighterBoundNeverLowersEnergy) {
     const auto r =
         energy_optimal_exit_setting(model, slack * latency_best.cost);
     if (!r.feasible) continue;
-    if (prev_energy >= 0.0) EXPECT_GE(r.energy_j + 1e-15, prev_energy);
+    if (prev_energy >= 0.0) {
+      EXPECT_GE(r.energy_j + 1e-15, prev_energy);
+    }
     prev_energy = r.energy_j;
   }
 }

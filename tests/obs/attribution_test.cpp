@@ -354,7 +354,9 @@ TEST(AttributionFold, FoldedBucketsMatchAFreshHistogram) {
     const bool applies =
         wf.calibration_error(static_cast<CalibComponent>(ci), &err);
     EXPECT_EQ((f.calibrated >> ci & 1u) != 0, applies) << ci;
-    if (applies) EXPECT_EQ(f.calib_err[static_cast<std::size_t>(ci)], err);
+    if (applies) {
+      EXPECT_EQ(f.calib_err[static_cast<std::size_t>(ci)], err);
+    }
   }
 }
 
