@@ -43,18 +43,20 @@ Fabric::Fabric(sim::EventQueue& queue, const TopologyConfig& config,
   for (int i = 0; i < n; ++i)
     nodes_[i].up =
         add(NodeId::device(i), NodeId::ap(ap_of(i)), device_uplinks[i]);
-  std::vector<int> by_ap(device_uplinks.size());  // index order within an AP
-  std::iota(by_ap.begin(), by_ap.end(), 0);
-  std::stable_sort(by_ap.begin(), by_ap.end(), [&](int x, int y) {
-    return nodes_[x].parent < nodes_[y].parent;
-  });
+  std::vector<int> by_ap;  // duplex: devices by AP, in index order within one
+  if (duplex) {
+    by_ap.resize(device_uplinks.size());
+    std::iota(by_ap.begin(), by_ap.end(), 0);
+    std::stable_sort(by_ap.begin(), by_ap.end(), [&](int x, int y) {
+      return nodes_[x].parent < nodes_[y].parent;
+    });
+  }
   const LinkSpec backhaul{config.ap_bandwidth, config.ap_latency};
   auto child = by_ap.begin();
   for (int a = 0; a < num_aps_; ++a) {
     for (; child != by_ap.end() && nodes_[*child].parent == n + a; ++child)
-      if (duplex)
-        nodes_[*child].down = add(NodeId::ap(a), NodeId::device(*child),
-                                  device_uplinks[*child]);
+      nodes_[*child].down = add(NodeId::ap(a), NodeId::device(*child),
+                                device_uplinks[*child]);
     nodes_[n + a].up = add(NodeId::ap(a), NodeId::edge(), backhaul);
   }
   if (duplex)

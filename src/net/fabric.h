@@ -196,6 +196,7 @@ class Fabric {
     double hop_exec = 0.0;    ///< when the port's link starts serializing
   };
 
+  /// Throws std::invalid_argument for a node outside the tree.
   int slot(NodeId node) const;
   Route route(NodeId src, NodeId dst) const;
   std::uint32_t acquire_flow();

@@ -63,9 +63,8 @@ Network::Network(EventQueue& queue, const ScenarioConfig& cfg, std::size_t lo,
                             cfg.edge_cloud_lat);
   }
   // The device's wireless hop, the fabric's device -> AP port or its own
-  // flat uplink, follows the device's traces either way. The shared AP
-  // carries none, but a device link the mode leaves out is checked all
-  // the same.
+  // flat uplink, follows the device's traces either way. The shared-AP
+  // mode has no such hop, so it only checks them as a Link would.
   for (std::size_t i = lo; i < hi; ++i) {
     const auto& spec = cfg.devices[i];
     if (shared_ap_) {

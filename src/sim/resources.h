@@ -75,10 +75,9 @@ class FifoProcessor {
   std::uint32_t epoch_ = 0;
 };
 
-/// The parameter rules of a Link, its constructor's and its trace
-/// setters': bandwidth > 0 and latency >= 0, and so every point of a trace
-/// (a NaN fails both). A null trace is skipped. Throws
-/// std::invalid_argument.
+/// What a Link's constructor and trace setters check: bandwidth > 0 and
+/// latency >= 0, at every point of a given trace too; a NaN fails each
+/// rule. A null trace is not checked. Throws std::invalid_argument.
 void validate_link(double bandwidth, double latency,
                    const util::PiecewiseConstant* bandwidth_trace = nullptr,
                    const util::PiecewiseConstant* latency_trace = nullptr);

@@ -148,11 +148,11 @@ sim::ScenarioConfig firing_slo_scenario() {
 }
 
 using Write = std::function<void(const std::string&)>;
-using Writers = std::vector<std::pair<std::string, Write>>;
 
-/// The writers a scenario drives: each runs firing_slo_scenario() with one
-/// output path set to the path it is given.
-Writers scenario_writers() {
+/// Every file writer, each writing to the path it is given: the runtime
+/// sinks, the profiler and model-profile files, the time-series sink, the
+/// bench tables' CSV and every output a scenario writes.
+std::vector<std::pair<std::string, Write>> file_writers() {
   using SetPath = void (*)(sim::ScenarioConfig&, const std::string&);
   const auto run_with = [](SetPath set) -> Write {
     return [set](const std::string& path) {
@@ -162,6 +162,37 @@ Writers scenario_writers() {
     };
   };
   return {
+      {"write_csv",
+       [](const std::string& p) { write_csv(p, kAxes, sample_records()); }},
+      {"write_jsonl_file",
+       [](const std::string& p) {
+         write_jsonl_file(p, kAxes, sample_records());
+       }},
+      {"write_chrome_trace",
+       [](const std::string& p) { write_chrome_trace(p, sample_records()); }},
+      {"write_metrics_prometheus",
+       [](const std::string& p) {
+         write_metrics_prometheus(p, sample_records());
+       }},
+      {"prof_chrome_trace",
+       [](const std::string& p) { prof::write_chrome_trace_file(p, {}); }},
+      {"prof_collapsed",
+       [](const std::string& p) { prof::write_collapsed_file(p, {}); }},
+      {"save_profile_file",
+       [](const std::string& p) {
+         models::save_profile_file(models::make_squeezenet(), p);
+       }},
+      {"csv_timeseries_sink",
+       [](const std::string& p) {
+         obs::CsvTimeseriesSink sink(p);
+         sink.close();
+       }},
+      {"table_write_csv",
+       [](const std::string& p) {
+         util::TablePrinter table({"policy", "tct"});
+         table.add_row({"LEIME", "0.5"});
+         table.write_csv(p);
+       }},
       {"metrics_out", run_with([](sim::ScenarioConfig& c,
                                   const std::string& p) {
          c.obs.metrics_out = p;
@@ -219,48 +250,17 @@ void expect_throws_naming_path(const std::string& name, const Write& write,
 // Every file writer, pointed at a directory that does not exist, throws
 // std::runtime_error naming the path instead of dropping its output.
 TEST(Sinks, EveryFileWriterThrowsOnUnwritablePath) {
-  Writers writers = {
-      {"write_csv",
-       [](const std::string& p) { write_csv(p, kAxes, sample_records()); }},
-      {"write_jsonl_file",
-       [](const std::string& p) {
-         write_jsonl_file(p, kAxes, sample_records());
-       }},
-      {"write_chrome_trace",
-       [](const std::string& p) { write_chrome_trace(p, sample_records()); }},
-      {"write_metrics_prometheus",
-       [](const std::string& p) {
-         write_metrics_prometheus(p, sample_records());
-       }},
-      {"prof_chrome_trace",
-       [](const std::string& p) { prof::write_chrome_trace_file(p, {}); }},
-      {"prof_collapsed",
-       [](const std::string& p) { prof::write_collapsed_file(p, {}); }},
-      {"save_profile_file",
-       [](const std::string& p) {
-         models::save_profile_file(models::make_squeezenet(), p);
-       }},
-      {"csv_timeseries_sink",
-       [](const std::string& p) { obs::CsvTimeseriesSink sink(p); }},
-  };
-  for (auto& writer : scenario_writers()) writers.push_back(writer);
-  for (const auto& [name, write] : writers)
+  for (const auto& [name, write] : file_writers())
     expect_throws_naming_path(name, write, "/nonexistent-dir/" + name);
 }
 
 // On a full disk the file opens and only the writes fail, the last one
-// when the file is closed: every scenario output and the bench tables'
-// CSV still throw instead of reporting success.
-TEST(Sinks, ScenarioWritersAndTableCsvThrowOnFullDisk) {
+// when the file is closed: every writer still throws instead of reporting
+// success.
+TEST(Sinks, EveryFileWriterThrowsOnFullDisk) {
   if (!std::filesystem::exists("/dev/full"))
     GTEST_SKIP() << "no /dev/full on this system";
-  Writers writers = scenario_writers();
-  writers.push_back({"table_write_csv", [](const std::string& p) {
-                       util::TablePrinter table({"policy", "tct"});
-                       table.add_row({"LEIME", "0.5"});
-                       table.write_csv(p);
-                     }});
-  for (const auto& [name, write] : writers)
+  for (const auto& [name, write] : file_writers())
     expect_throws_naming_path(name, write, "/dev/full");
 }
 
