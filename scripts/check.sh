@@ -2,11 +2,12 @@
 # Repo verification gate.
 #
 #   1. Tier-1: configure + build + full ctest suite (ROADMAP.md contract).
-#   2. Zero-alloc: the EventQueue steady-state allocation gate and the
+#   2. Zero-alloc: the EventQueue steady-state allocation gate, the
 #      attribution pillar's (an attributed task allocates nothing once the
-#      ledger covers its peak), run explicitly so the DESIGN.md §10 and §13
-#      properties show up by name even though they also ride inside
-#      sim_test.
+#      ledger covers its peak) and the routed fabric's (steady-state flows
+#      allocate nothing once the flow pool covers their peak), run
+#      explicitly so the DESIGN.md §10, §13 and §11 properties show up by
+#      name even though they also ride inside sim_test and net_test.
 #   3. Policy: the differential/property suite proving the [policy] fast
 #      paths (memo cache, warm-started B&B, batched eq. 20) result-
 #      identical to the reference searches (DESIGN.md §12), run explicitly
@@ -42,10 +43,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== zero-alloc: EventQueue and attribution steady-state gates =="
+echo "== zero-alloc: EventQueue, attribution and fabric steady-state gates =="
 ./build/tests/sim_test --gtest_filter='EventQueueAlloc.*'
 ./build/tests/sim_test \
   --gtest_filter='AttributionAlloc.SteadyStateTaskAllocatesNothing'
+./build/tests/net_test \
+  --gtest_filter='Fabric.SteadyStateFlowsRunWithZeroAllocations'
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test

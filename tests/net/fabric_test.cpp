@@ -108,6 +108,7 @@ TEST(Fabric, PortNamesAndAbsentPortLookup) {
   EXPECT_EQ(&fabric.port(port->id), port);
   EXPECT_EQ(fabric.port(NodeId::device(3), NodeId::ap(0)), nullptr);
   EXPECT_EQ(fabric.port(NodeId::device(3), NodeId::edge()), nullptr);
+  // No duplex mirrors.
   EXPECT_EQ(fabric.port(NodeId::ap(1), NodeId::device(3)), nullptr);
   EXPECT_EQ(fabric.port(NodeId::cloud(), NodeId::edge()), nullptr);
   ASSERT_NE(fabric.port(NodeId::edge(), NodeId::cloud()), nullptr);
@@ -291,7 +292,7 @@ TEST(Fabric, DuplexPortsCarryReturnTraffic) {
   EXPECT_DOUBLE_EQ(t, 2.0);  // backhaul mirror + wireless mirror, 1s each
 }
 
-TEST(Fabric, RouteAggregatesAndPortLookup) {
+TEST(Fabric, RouteAggregates) {
   sim::EventQueue q;
   Fabric fabric(q, ap_tier(1, {50.0, 0.1}), {{100.0, 0.5}}, {200.0, 0.05});
 
@@ -304,9 +305,6 @@ TEST(Fabric, RouteAggregatesAndPortLookup) {
 
   fabric.transfer(dev, cloud, 100.0, [](double) {});
   EXPECT_DOUBLE_EQ(fabric.route_state(dev, cloud, 0.0).backlog_bytes, 100.0);
-
-  EXPECT_NE(fabric.port(dev, NodeId::ap(0)), nullptr);
-  EXPECT_EQ(fabric.port(NodeId::ap(0), dev), nullptr);  // no duplex mirror
 }
 
 TEST(Fabric, ExportMetricsCoversSharedPortsOnly) {
