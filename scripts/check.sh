@@ -12,7 +12,11 @@
 #      paths (memo cache, warm-started B&B, batched eq. 20) result-
 #      identical to the reference searches (DESIGN.md §12), run explicitly
 #      even though it also rides inside ctest.
-#   4. Bench: re-measure micro_sim, micro_exit_setting, tab_topology,
+#   4. INI: the scenario parser's contract cases and its differential test
+#      against the std::map parser it replaced (util_test's Ini* suites,
+#      over 100,000 generated texts and mutations of configs/*.ini), run
+#      by name like the policy suite.
+#   5. Bench: re-measure micro_sim, micro_exit_setting, tab_topology,
 #      tab_latency_breakdown and tab_regret and gate them against
 #      bench/baselines/ with scripts/bench_compare.py (counters strict
 #      everywhere — including the warm-vs-cold B&B evaluation ratio, the
@@ -21,7 +25,7 @@
 #      end-to-end smoke (bench/e2e/run.sh --smoke), which checks every
 #      workload's output digests against bench/e2e/expected/. Skipped when
 #      python3 is unavailable.
-#   5. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
+#   6. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
 #              sim tests with -DLEIME_SANITIZE=thread and re-run them,
 #              guarding the executor thread pool, policy::Engine locking,
 #              the provenance recorder and the shard barrier protocol
@@ -52,6 +56,9 @@ echo "== zero-alloc: EventQueue, attribution and fabric steady-state gates =="
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test
+
+echo "== ini: parser contract + differential test against the reference =="
+./build/tests/util_test --gtest_filter='Ini*'
 
 if [[ "${LEIME_SKIP_BENCH:-0}" == "1" ]]; then
   echo "== bench gate skipped (LEIME_SKIP_BENCH=1) =="

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <stdexcept>
+#include <utility>
 
 #include "core/exit_setting.h"
 #include "models/profile_io.h"
@@ -206,7 +207,9 @@ IniScenario load_scenario(const util::IniFile& ini) {
   cfg.policy = sc.get("policy", "LEIME");
   cfg.duration = sc.get_double("duration", 120.0);
   cfg.warmup = sc.get_double("warmup", 5.0);
-  cfg.seed = static_cast<std::uint64_t>(sc.get_int("seed", 42));
+  const long long seed = sc.get_int("seed", 42);
+  if (seed < 0) throw std::invalid_argument("[scenario] seed must be >= 0");
+  cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.reallocation_period = sc.get_double("reallocation_period", 0.0);
   // 0 switches either feature off; a negative value is a typo, not "off".
   cfg.result_bytes = sc.get_double("result_bytes", 0.0);
@@ -223,6 +226,7 @@ IniScenario load_scenario(const util::IniFile& ini) {
   const auto devices = ini.all("device");
   if (devices.empty())
     throw std::invalid_argument("scenario file has no [device] sections");
+  cfg.devices.reserve(devices.size());
   double flops_sum = 0.0, bw_sum = 0.0, lat_sum = 0.0;
   for (const auto* d : devices) {
     // DeviceSpec's defaults are the INI's, except the rate. Fleets have
@@ -253,10 +257,10 @@ IniScenario load_scenario(const util::IniFile& ini) {
       if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_'))
         throw std::invalid_argument("[device] class '" + dev.device_class +
                                     "' must match [a-z0-9_]+");
-    cfg.devices.push_back(dev);
     flops_sum += dev.flops;
     bw_sum += dev.uplink_bw;
     lat_sum += dev.uplink_lat;
+    cfg.devices.push_back(std::move(dev));
   }
 
   IniScenario out{resolve_model_name(sc.get("model", "inception")),

@@ -37,7 +37,7 @@ CsvWriter::~CsvWriter() {
   } catch (const std::exception& e) {
     // A destructor cannot throw; surface the data loss instead of
     // swallowing it.
-    std::cerr << "CsvWriter: " << e.what() << "\n";
+    std::cerr << e.what() << "\n";
   }
 }
 

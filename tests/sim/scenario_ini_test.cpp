@@ -188,6 +188,16 @@ TEST(ScenarioIni, NegativeSharedUplinkIsRejectedByName) {
   EXPECT_EQ(off.config.shared_uplink_bw, 0.0);
 }
 
+// A negative seed would wrap through the uint64_t cast (-1 ran as
+// 2^64 - 1); it is an error that names the key.
+TEST(ScenarioIni, NegativeSeedIsRejectedByName) {
+  std::string text = kFleet;
+  text.replace(text.find("seed = 5"), 8, "seed = -1");
+  expect_rejected(text, "[scenario] seed must be >= 0");
+  text.replace(text.find("seed = -1"), 9, "seed = 0");
+  EXPECT_EQ(load_scenario(util::IniFile::parse_string(text)).config.seed, 0u);
+}
+
 TEST(ScenarioIni, NegativeSloDeadlineIsRejectedByName) {
   expect_rejected(std::string(kFleet) + "[slo]\ndeadline_ms = -1500\n",
                   "[slo] deadline_ms must be >= 0");

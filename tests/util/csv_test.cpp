@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -41,6 +42,19 @@ TEST(CsvWriter, RejectsWidthMismatchAndEmptyHeader) {
   CsvWriter w(path, {"a"});
   EXPECT_THROW(w.add_row({"1", "2"}), std::invalid_argument);
   std::remove(path.c_str());
+}
+
+// A writer destroyed without close() reports a failed flush on stderr,
+// with the "CsvWriter: " prefix once: close_file's message already has it.
+TEST(CsvWriter, UnclosedWriterReportsWriteErrorOnce) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  testing::internal::CaptureStderr();
+  {
+    CsvWriter w("/dev/full", {"x"});
+    w.add_row({"1"});
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "CsvWriter: write error on /dev/full\n");
 }
 
 }  // namespace
