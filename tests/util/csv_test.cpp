@@ -39,8 +39,10 @@ TEST(CsvWriter, WritesHeaderAndRows) {
 
 TEST(CsvWriter, RejectsWidthMismatchAndEmptyHeader) {
   const std::string path = testing::TempDir() + "/leime_csv_test2.csv";
-  CsvWriter w(path, {"a"});
-  EXPECT_THROW(w.add_row({"1", "2"}), std::invalid_argument);
+  {
+    CsvWriter w(path, {"a"});
+    EXPECT_THROW(w.add_row({"1", "2"}), std::invalid_argument);
+  }  // closed before the file goes, or its fsync fails on stderr
   std::remove(path.c_str());
 }
 
