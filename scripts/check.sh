@@ -16,7 +16,12 @@
 #      against the std::map parser it replaced (util_test's Ini* suites,
 #      over 100,000 generated texts and mutations of configs/*.ini), run
 #      by name like the policy suite.
-#   5. Bench: re-measure micro_sim, micro_exit_setting, tab_topology,
+#   5. Task memory: the run summary folded as tasks retire (DESIGN.md §16)
+#      against a reference that keeps every task's record, over generated
+#      configs; the heap-per-task bound; and the sharded merge's order and
+#      task trace against the single queue (sim_test's TaskFold.*,
+#      TaskMemory.* and two ShardedSim cases), run by name.
+#   6. Bench: re-measure micro_sim, micro_exit_setting, tab_topology,
 #      tab_latency_breakdown and tab_regret and gate them against
 #      bench/baselines/ with scripts/bench_compare.py (counters strict
 #      everywhere — including the warm-vs-cold B&B evaluation ratio, the
@@ -25,7 +30,7 @@
 #      end-to-end smoke (bench/e2e/run.sh --smoke), which checks every
 #      workload's output digests against bench/e2e/expected/. Skipped when
 #      python3 is unavailable.
-#   6. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
+#   7. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
 #              sim tests with -DLEIME_SANITIZE=thread and re-run them,
 #              guarding the executor thread pool, policy::Engine locking,
 #              the provenance recorder and the shard barrier protocol
@@ -59,6 +64,9 @@ echo "== policy: differential equivalence suite =="
 
 echo "== ini: parser contract + differential test against the reference =="
 ./build/tests/util_test --gtest_filter='Ini*'
+
+echo "== task memory: fold vs full records, heap per task, sharded merge =="
+./build/tests/sim_test --gtest_filter='TaskMemory.*:TaskFold.*:ShardedSim.BitIdenticalWithMixedPeriodicTies:ShardedSim.TaskTraceMatchesSingleQueue'
 
 if [[ "${LEIME_SKIP_BENCH:-0}" == "1" ]]; then
   echo "== bench gate skipped (LEIME_SKIP_BENCH=1) =="

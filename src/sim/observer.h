@@ -109,7 +109,9 @@ class Observer {
                                 double /*t_arrive*/, double /*t_complete*/,
                                 int /*block*/, int /*retries*/,
                                 bool /*counted*/) {}
-  /// The task became terminal-pending (edge never returns).
+  /// The task was given up for good and will never complete: its block-2
+  /// failover found an edge that never returns, or a step past the raw
+  /// upload spent its retry budget.
   virtual void on_task_parked(std::uint64_t /*task*/, int /*device*/,
                               double /*t*/) {}
   /// A controller decision was taken for `device` at slot time `t`.

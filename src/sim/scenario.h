@@ -162,8 +162,9 @@ struct SimResult {
   std::size_t completed = 0;  ///< completed out of the counted (post-warmup)
   /// Task conservation: every generated task is either completed or still
   /// pending at the end of the drain, so generated == total_completed +
-  /// in_flight always holds (the fault property-test contract). Without
-  /// never-healing faults, in_flight is 0.
+  /// in_flight always holds (the fault property-test contract). The drain
+  /// completes every task that has not parked (FaultStats::parked), and a
+  /// run whose faults all heal can still park tasks.
   std::size_t total_completed = 0;  ///< completed including warmup tasks
   std::size_t in_flight = 0;        ///< still pending when the run ended
   double exit1_fraction = 0.0;
@@ -189,7 +190,10 @@ struct SimResult {
     std::size_t retries = 0;      ///< task-timeout re-dispatches
     std::size_t local_fallbacks = 0;  ///< retry budget exhausted -> device
     std::size_t fallback_slots = 0;   ///< x == 0 decisions with edge down
-    std::size_t parked = 0;  ///< failed-over tasks still pending at end
+    /// Tasks given up for good, still pending at the end: a block-2
+    /// failover whose edge never returns, or a step past the raw upload
+    /// that spent its retry budget (a raw upload falls back to the device).
+    std::size_t parked = 0;
   };
   FaultStats faults;
 

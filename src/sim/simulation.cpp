@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -24,8 +23,8 @@
 #include "sim/observer.h"
 #include "sim/resources.h"
 #include "sim/shard.h"
+#include "sim/task_fold.h"
 #include "util/check.h"
-#include "util/csv.h"
 #include "util/rng.h"
 #include "workload/arrival.h"
 #include "workload/complexity.h"
@@ -131,7 +130,8 @@ class Simulation {
         role_(role),
         lo_(role.lo),
         hi_(role.active() ? role.hi : config.devices.size()),
-        net_(queue_, cfg_, lo_, hi_, role.outbox) {
+        net_(queue_, cfg_, lo_, hi_, role.outbox),
+        ring_(kInitialRingSlots) {
     faults_on_ = cfg_.faults.enabled();
     build();
     // Observer hooks are pure taps: they consume no RNG, schedule no events
@@ -196,6 +196,7 @@ class Simulation {
 
   SimResult run() {
     LEIME_PROF_SCOPE("leime.sim.run");
+    fold_.emplace(cfg_);
     init_run();
 
     // Generation stops at duration; in-flight tasks drain afterwards.
@@ -221,57 +222,6 @@ class Simulation {
     }
     return out;
   }
-
-  struct TaskRecord {
-    double t_arrive;
-    double t_complete = -1.0;
-    std::size_t device = 0;
-    int block = 0;  ///< 1, 2, or 3
-    bool offloaded = false;
-    bool counted = false;  ///< post-warmup
-    Step step = Step::kLocal1;  ///< the step last started
-    /// Between steps: fault detection, retry backoff or an edge-restart
-    /// probe (step is the one abandoned), or parked for good.
-    bool waiting = false;
-    bool parked = false;
-    /// Bumped whenever the task's current path is abandoned (crash
-    /// failover, timeout retry, fabric drop); in-flight callbacks carry the
-    /// attempt they were issued under and go stale when it changes.
-    int attempt = 0;
-    int retries = 0;
-  };
-
-  struct FaultCounters {
-    std::size_t failed_over = 0;
-    std::size_t retries = 0;
-    std::size_t fallback_slots = 0;
-  };
-
-  /// Every accumulator finalize_impl needs beside the task list. A single
-  /// run keeps one in agg_; a sharded run reassembles one across shards
-  /// (exact integer sums plus the replayed x stream, so the merged values
-  /// are bit-identical to a single run's).
-  struct Aggregates {
-    double x_sum = 0.0;
-    std::size_t x_count = 0;
-    double q_sum = 0.0;
-    double h_sum = 0.0;
-    std::size_t queue_samples = 0;
-    std::size_t link_outages = 0;
-    std::size_t edge_crashes = 0;
-    std::size_t churn_events = 0;
-    std::size_t local_fallbacks = 0;
-    FaultCounters fleet;
-    std::vector<double> x_sum_dev;
-    std::vector<std::size_t> x_count_dev;
-    std::vector<FaultCounters> dev_faults;
-
-    void resize(std::size_t n) {
-      x_sum_dev.assign(n, 0.0);
-      x_count_dev.assign(n, 0);
-      dev_faults.assign(n, {});
-    }
-  };
 
   // ------------------------------------------- sharded-run coordination
   // Called by run_scenario_sharded's coordinator thread, strictly between
@@ -313,11 +263,16 @@ class Simulation {
     realloc_counts_ = std::move(counts);
   }
 
+  /// Ends the run: tasks still in [head_, tail_) retire as they stand, in
+  /// id order, and count as in flight.
   void end_run() {
     if (obs_) obs_->on_run_end(queue_.now());
+    for (; head_ < tail_; ++head_) settle(head_);
   }
 
-  const std::vector<TaskRecord>& tasks() const { return tasks_; }
+  /// A shard's retired tasks in its own id order (sharded runs only): the
+  /// coordinator merges them into the single queue's order.
+  const std::vector<TaskOutcome>& retired() const { return retired_; }
 
   /// Per-epoch offload decisions in device order (sharded runs only): the
   /// coordinator replays epochs in (epoch, shard) order to rebuild the
@@ -354,11 +309,20 @@ class Simulation {
     return owned_obs_ ? owned_obs_->registry().snapshot() : obs::Snapshot{};
   }
 
-  static SimResult finalize_impl(const ScenarioConfig& cfg,
-                                 const std::vector<TaskRecord>& tasks,
-                                 const Aggregates& agg);
-
  private:
+  /// A task in flight: its outcome so far plus the step machine's state.
+  struct TaskRecord : TaskOutcome {
+    Step step = Step::kLocal1;  ///< the step last started
+    /// Between steps: fault detection, retry backoff or an edge-restart
+    /// probe (step is the one abandoned), or parked for good.
+    bool waiting = false;
+    /// Bumped whenever the task's current path is abandoned (crash
+    /// failover, timeout retry, fabric drop); in-flight callbacks carry the
+    /// attempt they were issued under and go stale when it changes.
+    int attempt = 0;
+    int retries = 0;
+  };
+
   /// The checks that need no network; Network checks its own mode.
   static const ScenarioConfig& checked(const ScenarioConfig& cfg) {
     if (cfg.devices.empty())
@@ -439,9 +403,11 @@ class Simulation {
   const DegradationConfig& deg() const { return cfg_.faults.degradation; }
 
   /// True while the task is still waiting for the callbacks of attempt
-  /// `att`; stale paths (abandoned by a failover or retry) return false.
+  /// `att`; stale paths (abandoned by a failover or retry) and retired
+  /// tasks, whose ring slot may hold a newer task, return false.
   bool alive(std::size_t task_id, int att) const {
-    const auto& rec = tasks_[task_id];
+    if (task_id < head_) return false;
+    const auto& rec = task(task_id);
     return rec.t_complete < 0.0 && rec.attempt == att;
   }
 
@@ -474,9 +440,10 @@ class Simulation {
     // them so merged counters match the single-queue run.
     if (obs_ && role_.index == 0) obs_->on_fault("edge_crash", -1, now);
     // Every task resident on an edge share loses its work; the owning
-    // device notices after the detection timeout and reclaims it.
-    for (std::size_t id = 0; id < tasks_.size(); ++id) {
-      const auto& rec = tasks_[id];
+    // device notices after the detection timeout and reclaims it. Tasks
+    // below head_ have all completed or parked.
+    for (std::size_t id = head_; id < tail_; ++id) {
+      const auto& rec = task(id);
       if (rec.t_complete >= 0.0 || rec.waiting ||
           (rec.step != Step::kEdge1 && rec.step != Step::kEdge2))
         continue;
@@ -509,7 +476,7 @@ class Simulation {
   /// Edge work for `id` was lost to a crash or refused by a dead edge: the
   /// owning device notices after the detection timeout and fails it over.
   void fail_back(std::size_t i, std::size_t id, Step step) {
-    auto& rec = tasks_[id];
+    auto& rec = task(id);
     ++rec.attempt;  // invalidate any in-flight edge completion
     rec.waiting = true;
     const int att = rec.attempt;
@@ -540,17 +507,20 @@ class Simulation {
       gap *= 2.0;
       when += gap;
     }
-    const int att = tasks_[id].attempt;
+    const int att = task(id).attempt;
     queue_.schedule(when, EventKind::kFailoverProbe, [this, i, id, att] {
       if (alive(id, att)) start(i, id, Step::kEdge2);
     });
   }
 
+  /// Gives the task up for good: no event carries its current attempt any
+  /// more, so it never starts again.
   void park(std::size_t i, std::size_t id) {
-    auto& rec = tasks_[id];
+    auto& rec = task(id);
     rec.parked = true;
     rec.waiting = true;
     if (obs_) obs_->on_task_parked(id, static_cast<int>(i), queue_.now());
+    retire();
   }
 
   /// Abandons the task's current attempt (a timeout or a fabric drop) and
@@ -561,7 +531,7 @@ class Simulation {
   void retry(std::size_t i, std::size_t id, Step step, const char* fault,
              const char* outcome) {
     LEIME_PROF_SCOPE("leime.sim.ev.retry");
-    auto& rec = tasks_[id];
+    auto& rec = task(id);
     ++rec.attempt;
     ++rec.retries;
     ++agg_.fleet.retries;
@@ -768,30 +738,35 @@ class Simulation {
 
   void schedule_next_arrival(std::size_t i) {
     auto& dev = *devices_[i];
-    const double gap = dev.arrivals->next_interarrival(queue_.now(), dev.rng);
-    const double when = queue_.now() + gap;
+    const double now = queue_.now();
+    const double gap = dev.arrivals->next_interarrival(now, dev.rng);
+    const double when = now + gap;
     if (when > cfg_.duration) return;  // generation window closed
-    queue_.schedule(when, EventKind::kArrival, [this, i] {
-      on_arrival(i);
+    queue_.schedule(when, EventKind::kArrival, [this, i, now] {
+      on_arrival(i, now);
       schedule_next_arrival(i);
     });
   }
 
-  void on_arrival(std::size_t i) {
+  /// A task of device `i` arrives; its arrival event was scheduled at
+  /// `t_sched`.
+  void on_arrival(std::size_t i, double t_sched) {
     LEIME_PROF_SCOPE("leime.sim.ev.arrival");
     if (faults_on_ && !present_[i]) return;  // device has left the fleet
     auto& dev = *devices_[i];
     ++dev.arrived_this_slot;
     ++dev.arrived_this_window;
-    const std::size_t task_id = tasks_.size();
-    TaskRecord rec;
+    if (tail_ - head_ == ring_.size()) grow_ring();
+    const std::size_t task_id = tail_++;
+    TaskRecord& rec = task(task_id);
+    rec = TaskRecord{};
     rec.t_arrive = queue_.now();
+    rec.t_sched = t_sched;
     rec.device = i;
     rec.block =
         workload::block_for_complexity(cfg_.partition, dev.complexity.sample(dev.rng));
     rec.offloaded = dev.rng.bernoulli(dev.x);
     rec.counted = rec.t_arrive >= cfg_.warmup;
-    tasks_.push_back(rec);
     if (obs_)
       obs_->on_task_generated(task_id, static_cast<int>(i), rec.t_arrive,
                               rec.block, rec.offloaded);
@@ -837,7 +812,8 @@ class Simulation {
     LEIME_PROF_SCOPE("leime.sim.ev.start");
     const StepSpec& spec = kSteps[static_cast<std::size_t>(step)];
     auto& dev = *devices_[i];
-    auto& rec = tasks_[id];
+    auto& rec = task(id);
+    LEIME_CHECK(!rec.parked);
     const double now = queue_.now();
     const bool compute = spec.from == spec.to;
     if (compute && spec.from == Tier::kEdge && faults_on_ && !edge_up_now_) {
@@ -888,14 +864,13 @@ class Simulation {
       // Bounded-retry watchdog for offloaded dispatches. It reads the
       // attempt afresh: a fabric drop may already have retried the upload
       // synchronously inside send().
-      const int watched = tasks_[id].attempt;
+      const int watched = task(id).attempt;
       queue_.schedule_in(deg().task_timeout, EventKind::kTaskTimeout,
                          [this, i, id, watched] {
-        const auto& r = tasks_[id];
+        if (!alive(id, watched)) return;
         // Too deep to claw back (cloud leg, result return) or parked.
-        if (!alive(id, watched) || r.parked ||
-            (!r.waiting && r.step >= Step::kEdgeCloud))
-          return;
+        const auto& r = task(id);
+        if (r.parked || (!r.waiting && r.step >= Step::kEdgeCloud)) return;
         retry(i, id, Step::kUpRaw, "task_timeout", "timeout");
       });
     }
@@ -909,7 +884,7 @@ class Simulation {
     if (!alive(id, att)) return;
     if (t < 0.0) return retry(i, id, step, "net_drop", "net_drop");
     if (obs_) obs_->on_phase_end(id, t);
-    if (const auto next = next_step(tasks_[id], step))
+    if (const auto next = next_step(task(id), step))
       start(i, id, *next);
     else
       complete(id, t);
@@ -917,38 +892,54 @@ class Simulation {
 
   void complete(std::size_t id, double t) {
     LEIME_PROF_SCOPE("leime.sim.ev.complete");
-    auto& rec = tasks_[id];
+    auto& rec = task(id);
     LEIME_CHECK(rec.t_complete < 0.0);
     rec.t_complete = t;
     if (obs_)
       obs_->on_task_complete(id, static_cast<int>(rec.device), rec.t_arrive,
                              t, rec.block, rec.retries, rec.counted);
+    retire();
   }
 
-  SimResult finalize() const {
+  // ------------------------------------------------------------ task ring
+
+  TaskRecord& task(std::size_t id) { return ring_[id & (ring_.size() - 1)]; }
+  const TaskRecord& task(std::size_t id) const {
+    return ring_[id & (ring_.size() - 1)];
+  }
+
+  /// Doubles the ring and re-places [head_, tail_) at their new slots.
+  void grow_ring() {
+    std::vector<TaskRecord> bigger(2 * ring_.size());
+    for (std::size_t id = head_; id < tail_; ++id)
+      bigger[id & (bigger.size() - 1)] = task(id);
+    ring_.swap(bigger);
+  }
+
+  /// Retires the head task while it is terminal (completed or parked), so
+  /// tasks leave the ring in id order.
+  void retire() {
+    for (; head_ < tail_; ++head_) {
+      const TaskRecord& rec = task(head_);
+      if (rec.t_complete < 0.0 && !rec.parked) return;
+      settle(head_);
+    }
+  }
+
+  /// Hands task `id` over: to the fold in a single-queue run, to this
+  /// shard's log in a sharded one.
+  void settle(std::size_t id) {
+    if (fold_)
+      fold_->add(id, task(id));
+    else
+      retired_.push_back(task(id));
+  }
+
+  SimResult finalize() {
     LEIME_PROF_SCOPE("leime.sim.finalize");
-    SimResult out = finalize_impl(cfg_, tasks_, agg_);
+    SimResult out = fold_->summarize(agg_);
     out.net = net_.stats();
     return out;
-  }
-
-  static void write_task_trace(const ScenarioConfig& cfg,
-                               const std::vector<TaskRecord>& tasks) {
-    util::CsvWriter trace(cfg.task_trace_path,
-                          {"task", "device", "t_arrive", "t_complete",
-                           "tct", "exit_block", "offloaded", "counted"});
-    for (std::size_t id = 0; id < tasks.size(); ++id) {
-      const auto& rec = tasks[id];
-      const bool done = rec.t_complete >= 0.0;
-      trace.add_row({std::to_string(id), std::to_string(rec.device),
-                     std::to_string(rec.t_arrive),
-                     done ? std::to_string(rec.t_complete) : "-",
-                     done ? std::to_string(rec.t_complete - rec.t_arrive)
-                          : "-",
-                     std::to_string(rec.block),
-                     rec.offloaded ? "1" : "0", rec.counted ? "1" : "0"});
-    }
-    trace.close();
   }
 
   const ScenarioConfig& cfg_;
@@ -980,7 +971,15 @@ class Simulation {
   /// sharded mode, by reallocate() itself otherwise).
   std::vector<std::vector<double>> x_log_;
   std::vector<int> realloc_counts_;
-  std::vector<TaskRecord> tasks_;
+  /// Tasks [head_, tail_), from the oldest unfinished one to the newest:
+  /// task `id` sits at ring_[id & (ring_.size() - 1)]. The size is a power
+  /// of two that only on_arrival grows, before it binds its own record.
+  static constexpr std::size_t kInitialRingSlots = 1024;
+  std::vector<TaskRecord> ring_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::optional<TaskFold> fold_;  ///< single-queue runs
+  std::vector<TaskOutcome> retired_;  ///< sharded runs (see retired())
   Observer* obs_ = nullptr;  ///< external (cfg_.observer) or owned_obs_
   std::unique_ptr<RecordingObserver> owned_obs_;
   Aggregates agg_;
@@ -991,72 +990,6 @@ class Simulation {
   bool edge_up_now_ = true;
   std::vector<char> present_;
 };
-
-SimResult Simulation::finalize_impl(const ScenarioConfig& cfg,
-                                    const std::vector<TaskRecord>& tasks,
-                                    const Aggregates& agg) {
-  const std::size_t num_devices = agg.x_sum_dev.size();
-  SimResult out;
-  std::vector<double> tcts;
-  std::map<long long, std::pair<double, std::size_t>> windows;
-  std::size_t exits[3] = {0, 0, 0};
-  std::vector<std::vector<double>> device_tcts(num_devices);
-  for (const auto& rec : tasks) {
-    ++out.generated;
-    if (rec.t_complete >= 0.0)
-      ++out.total_completed;
-    else
-      ++out.in_flight;
-    if (rec.parked) ++out.faults.parked;
-    if (!rec.counted) continue;
-    if (rec.t_complete < 0.0) continue;  // still in flight at drain end
-    ++out.completed;
-    const double tct = rec.t_complete - rec.t_arrive;
-    tcts.push_back(tct);
-    device_tcts[rec.device].push_back(tct);
-    ++exits[rec.block - 1];
-    const auto w =
-        static_cast<long long>(rec.t_complete / cfg.timeline_window);
-    auto& slot = windows[w];
-    slot.first += tct;
-    ++slot.second;
-  }
-  out.tct = util::summarize(tcts);
-  const double total = std::max<std::size_t>(1, out.completed);
-  out.exit1_fraction = exits[0] / total;
-  out.exit2_fraction = exits[1] / total;
-  out.exit3_fraction = exits[2] / total;
-  out.mean_offload_ratio = agg.x_count ? agg.x_sum / agg.x_count : 0.0;
-  out.mean_device_queue =
-      agg.queue_samples ? agg.q_sum / agg.queue_samples : 0.0;
-  out.mean_edge_queue =
-      agg.queue_samples ? agg.h_sum / agg.queue_samples : 0.0;
-  out.faults.link_outages = agg.link_outages;
-  out.faults.edge_crashes = agg.edge_crashes;
-  out.faults.churn_events = agg.churn_events;
-  out.faults.failed_over = agg.fleet.failed_over;
-  out.faults.retries = agg.fleet.retries;
-  out.faults.local_fallbacks = agg.local_fallbacks;
-  out.faults.fallback_slots = agg.fleet.fallback_slots;
-  for (const auto& [w, slot] : windows)
-    out.timeline.push_back({(w + 0.5) * cfg.timeline_window,
-                            slot.first / slot.second, slot.second});
-  if (!cfg.task_trace_path.empty()) write_task_trace(cfg, tasks);
-  for (std::size_t i = 0; i < num_devices; ++i) {
-    SimResult::DeviceResult dr;
-    dr.tct = util::summarize(device_tcts[i]);
-    dr.completed = device_tcts[i].size();
-    dr.mean_offload_ratio =
-        agg.x_count_dev[i]
-            ? agg.x_sum_dev[i] / static_cast<double>(agg.x_count_dev[i])
-            : 0.0;
-    dr.failed_over = agg.dev_faults[i].failed_over;
-    dr.retries = agg.dev_faults[i].retries;
-    dr.fallback_slots = agg.dev_faults[i].fallback_slots;
-    out.per_device.push_back(dr);
-  }
-  return out;
-}
 
 // --------------------------------------------------- sharded coordinator
 
@@ -1087,6 +1020,48 @@ void validate_sharded(const ScenarioConfig& cfg) {
         "propagation delay is the conservative lookahead window");
 }
 
+/// The single queue's order of two tasks: arrival time, then when the
+/// arrival event was scheduled (the queue runs same-instant events in
+/// schedule order), then device (arrival chains that tie on both go back to
+/// init_run, which schedules devices in order).
+bool arrives_before(const TaskOutcome& a, const TaskOutcome& b) {
+  if (a.t_arrive != b.t_arrive) return a.t_arrive < b.t_arrive;
+  if (a.t_sched != b.t_sched) return a.t_sched < b.t_sched;
+  return a.device < b.device;
+}
+
+/// Folds the shards' retired tasks (each log in its shard's id order) into
+/// `fold` in the single queue's id order: a k-way merge by arrives_before,
+/// the earlier shard first on a full tie.
+void merge_retired(const std::vector<std::unique_ptr<Simulation>>& shards,
+                   TaskFold& fold) {
+  std::vector<std::size_t> next(shards.size(), 0);
+  // A min-heap of shards by their next task.
+  const auto later = [&](std::size_t a, std::size_t b) {
+    const TaskOutcome& x = shards[a]->retired()[next[a]];
+    const TaskOutcome& y = shards[b]->retired()[next[b]];
+    if (arrives_before(y, x)) return true;
+    if (arrives_before(x, y)) return false;
+    return a > b;
+  };
+  std::vector<std::size_t> heap;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto& log = shards[s]->retired();
+    LEIME_CHECK(std::is_sorted(log.begin(), log.end(), arrives_before));
+    if (!log.empty()) heap.push_back(s);
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  for (std::size_t id = 0; !heap.empty(); ++id) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t s = heap.back();
+    fold.add(id, shards[s]->retired()[next[s]]);
+    if (++next[s] < shards[s]->retired().size())
+      std::push_heap(heap.begin(), heap.end(), later);
+    else
+      heap.pop_back();
+  }
+}
+
 /// One simulation, S event queues (DESIGN.md §15). Shards advance in
 /// conservative windows no wider than the edge-cloud propagation delay —
 /// every cross-shard event (a hub admission's delivery) provably lands at
@@ -1105,6 +1080,8 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
   // edge-cloud propagation delay after its admission.
   const double window = cfg.edge_cloud_lat;
   const double inf = std::numeric_limits<double>::infinity();
+
+  TaskFold fold(cfg);  // opens the task trace as the run starts
 
   // One thread-safe engine shared by every shard thread (batch_eq20 only).
   std::unique_ptr<policy::Engine> engine;
@@ -1195,23 +1172,9 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
 
   for (const auto& sh : shards) sh->end_run();
 
-  // Harvest. Tasks merge into the single queue's id order: t_arrive is
-  // nondecreasing within a shard, and same-instant arrivals across
-  // devices (periodic fleets) executed in device order there too.
-  std::vector<Simulation::TaskRecord> tasks;
-  for (const auto& sh : shards) {
-    const auto& t = sh->tasks();
-    tasks.insert(tasks.end(), t.begin(), t.end());
-  }
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const Simulation::TaskRecord& a,
-                      const Simulation::TaskRecord& b) {
-                     if (a.t_arrive != b.t_arrive)
-                       return a.t_arrive < b.t_arrive;
-                     return a.device < b.device;
-                   });
+  merge_retired(shards, fold);
 
-  Simulation::Aggregates agg;
+  Aggregates agg;
   agg.resize(n);
   for (std::size_t s = 0; s < S; ++s) shards[s]->accumulate(agg, s == 0);
   // Replay the slot-decision stream in (epoch, device) order so the FP
@@ -1224,7 +1187,7 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
         ++agg.x_count;
       }
 
-  SimResult out = Simulation::finalize_impl(cfg, tasks, agg);
+  SimResult out = fold.summarize(agg);
   for (const auto& sh : shards) out.events_executed += sh->executed_events();
 
   if (cfg.obs.enabled()) {

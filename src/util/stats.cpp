@@ -6,17 +6,27 @@
 
 namespace leime::util {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
+namespace {
+
+/// One Welford step: the arithmetic of RunningStats::add and add_moment.
+void welford_add(std::size_t& n, double& mean, double& m2, double& min,
+                 double& max, double x) {
+  if (n == 0) {
+    min = max = x;
   } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+    min = std::min(min, x);
+    max = std::max(max, x);
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  ++n;
+  const double delta = x - mean;
+  mean += delta / static_cast<double>(n);
+  m2 += delta * (x - mean);
+}
+
+}  // namespace
+
+void RunningStats::add(double x) {
+  welford_add(n_, mean_, m2_, min_, max_, x);
 }
 
 double RunningStats::variance() const {
@@ -47,12 +57,8 @@ double percentile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("percentile: empty sample");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
   std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  return sorted_percentile(values.size(), q,
+                           [&](std::size_t k) { return values[k]; });
 }
 
 double median_of(const std::vector<double>& values) {
@@ -81,17 +87,23 @@ RobustSummary robust_summarize(const std::vector<double>& values) {
 Summary summarize(const std::vector<double>& values) {
   Summary out;
   if (values.empty()) return out;
-  RunningStats s;
-  for (double v : values) s.add(v);
-  out.count = s.count();
-  out.mean = s.mean();
-  out.stddev = s.stddev();
-  out.min = s.min();
-  out.max = s.max();
-  out.p50 = percentile(values, 0.50);
-  out.p95 = percentile(values, 0.95);
-  out.p99 = percentile(values, 0.99);
+  for (double v : values) add_moment(out, v);
+  end_moments(out);
+  std::vector<double> sorted(values);
+  std::sort(sorted.begin(), sorted.end());
+  set_percentiles(out, sorted.size(),
+                  [&](std::size_t k) { return sorted[k]; });
   return out;
+}
+
+void add_moment(Summary& s, double x) {
+  welford_add(s.count, s.mean, s.stddev, s.min, s.max, x);
+}
+
+void end_moments(Summary& s) {
+  s.stddev = s.count < 2 ? 0.0
+                         : std::sqrt(s.stddev /
+                                     static_cast<double>(s.count - 1));
 }
 
 }  // namespace leime::util

@@ -1,6 +1,7 @@
 // Streaming and batch statistics used by the simulator and benches.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -51,6 +52,19 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+/// Percentile q in [0, 1] of `n` >= 1 values in ascending order, read
+/// through `at(k)`, with linear interpolation between closest ranks. The
+/// one interpolation behind percentile(), summarize() and set_percentiles().
+template <class At>
+double sorted_percentile(std::size_t n, double q, At at) {
+  if (n == 1) return at(0);
+  const double rank = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, n - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return at(lo) + frac * (at(hi) - at(lo));
+}
+
 /// Percentile with linear interpolation between closest ranks.
 /// q in [0, 1]; throws std::invalid_argument on empty input or bad q.
 /// The input is copied and sorted internally.
@@ -70,6 +84,24 @@ struct Summary {
 
 /// Computes a Summary; all fields zero for an empty sample.
 Summary summarize(const std::vector<double>& values);
+
+/// A Summary filled in place, for callers that hold their values in some
+/// other layout: add_moment() folds one value into count, mean, min and max
+/// with RunningStats::add's arithmetic, keeping the sum of squared
+/// deviations in stddev until end_moments() turns it into the standard
+/// deviation. Fed the same values in the same order, the moments match
+/// summarize()'s bit for bit.
+void add_moment(Summary& s, double x);
+void end_moments(Summary& s);
+
+/// Sets p50, p95 and p99 of `s` from `n` >= 1 values in ascending order,
+/// read through `at(k)`.
+template <class At>
+void set_percentiles(Summary& s, std::size_t n, At at) {
+  s.p50 = sorted_percentile(n, 0.50, at);
+  s.p95 = sorted_percentile(n, 0.95, at);
+  s.p99 = sorted_percentile(n, 0.99, at);
+}
 
 /// Median with linear interpolation; 0 on empty input (no throw — timing
 /// code treats "no rounds" as a degenerate measurement, not an error).

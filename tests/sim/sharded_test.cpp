@@ -13,7 +13,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +56,21 @@ ScenarioConfig fleet_scenario(std::size_t devices, std::uint64_t seed) {
   cfg.duration = 12.0;
   cfg.warmup = 2.0;
   cfg.seed = seed;
+  return cfg;
+}
+
+/// Every device periodic, odd ones at 2 tasks/s and even ones at 1: at
+/// t = 1.0 device 4's arrival (scheduled at t = 0) runs before device 3's
+/// (scheduled at t = 0.5), so same-instant arrivals do not run in device
+/// order.
+ScenarioConfig mixed_periodic_fleet() {
+  ScenarioConfig cfg = fleet_scenario(8, 7);
+  for (std::size_t i = 0; i < cfg.devices.size(); ++i) {
+    cfg.devices[i].arrival = ArrivalKind::kPeriodic;
+    cfg.devices[i].mean_rate = i % 2 ? 2.0 : 1.0;
+  }
+  cfg.duration = 30.0;
+  cfg.warmup = 2.0;
   return cfg;
 }
 
@@ -244,6 +262,12 @@ TEST(ShardedSim, BitIdenticalWithPeriodicTies) {
   expect_sharding_invariant(cfg, "periodic");
 }
 
+TEST(ShardedSim, BitIdenticalWithMixedPeriodicTies) {
+  // Ties between arrivals scheduled at different times: the merge must
+  // order them by when each was scheduled, not by device.
+  expect_sharding_invariant(mixed_periodic_fleet(), "mixed periodic");
+}
+
 TEST(ShardedSim, BitIdenticalWithReallocationTimer) {
   ScenarioConfig cfg = fleet_scenario(10, 31);
   cfg.reallocation_period = 3.0;  // forces the T-minus gather barriers
@@ -290,6 +314,38 @@ TEST(ShardedSim, BitIdenticalWithBatchedPolicyEngine) {
   cfg.policy_core.warm_start = true;
   cfg.policy_core.batch_eq20 = true;
   expect_sharding_invariant(cfg, "batched-engine");
+}
+
+/// The task-trace CSV a run of `cfg` writes.
+std::string task_trace_bytes(ScenarioConfig cfg) {
+  cfg.task_trace_path = testing::TempDir() + "/leime_sharded_trace.csv";
+  run_scenario(cfg);
+  std::ifstream in(cfg.task_trace_path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(cfg.task_trace_path.c_str());
+  return bytes.str();
+}
+
+TEST(ShardedSim, TaskTraceMatchesSingleQueue) {
+  // The coordinator writes the trace from the merged fold: its rows, ids
+  // included, must be the single queue's.
+  const ScenarioConfig fleets[] = {fleet_scenario(11, 77),
+                                   mixed_periodic_fleet()};
+  for (ScenarioConfig cfg : fleets) {
+    const std::string single = task_trace_bytes(cfg);
+    ASSERT_GT(single.size(), 1000u);
+    for (const std::size_t shards : {2u, 3u}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(cfg.devices.size()) + " devices shards=" +
+                     std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        cfg.shards.shards = shards;
+        cfg.shards.threads = threads;
+        EXPECT_TRUE(task_trace_bytes(cfg) == single);
+      }
+    }
+  }
 }
 
 TEST(ShardedSim, MetricsCountersMatchSingleQueue) {

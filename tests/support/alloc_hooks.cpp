@@ -1,5 +1,7 @@
 #include "support/alloc_hooks.h"
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -8,10 +10,24 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
+std::atomic<std::size_t> g_live{0};
+std::atomic<std::size_t> g_peak{0};
+
+/// Adds a new block to the live bytes and raises the peak to match.
+void* tracked(void* p) {
+  const std::size_t size = malloc_usable_size(p);
+  const std::size_t live =
+      g_live.fetch_add(size, std::memory_order_relaxed) + size;
+  std::size_t peak = g_peak.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = std::malloc(size ? size : 1)) return tracked(p);
   throw std::bad_alloc();
 }
 
@@ -20,13 +36,14 @@ void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
   if (void* p = std::aligned_alloc(align, rounded ? rounded : align))
-    return p;
+    return tracked(p);
   throw std::bad_alloc();
 }
 
 void counted_free(void* p) noexcept {
   if (!p) return;
   g_frees.fetch_add(1, std::memory_order_relaxed);
+  g_live.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
   std::free(p);
 }
 
@@ -40,6 +57,17 @@ std::uint64_t allocation_count() {
 
 std::uint64_t deallocation_count() {
   return g_frees.load(std::memory_order_relaxed);
+}
+
+std::size_t live_bytes() { return g_live.load(std::memory_order_relaxed); }
+
+std::size_t peak_live_bytes() {
+  return g_peak.load(std::memory_order_relaxed);
+}
+
+void reset_peak() {
+  g_peak.store(g_live.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
 }
 
 }  // namespace leime::testsupport

@@ -7,11 +7,16 @@
 // that keeps the DES hot path's zero-allocation steady state (DESIGN.md
 // §10) from silently regressing.
 //
+// The hooks also track the live heap, as glibc's malloc_usable_size of
+// every block not yet freed, and its high-water mark, so a test can bound
+// the peak heap of a run.
+//
 // The counters are process-global and include gtest's own allocations, so
 // only ever compare *deltas* across a region that runs nothing but the
 // code under test.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace leime::testsupport {
@@ -21,5 +26,14 @@ std::uint64_t allocation_count();
 
 /// Number of global operator delete invocations (all forms) since start.
 std::uint64_t deallocation_count();
+
+/// Bytes held by blocks from operator new not yet deleted (usable sizes).
+std::size_t live_bytes();
+
+/// The largest live_bytes() since start or since the last reset_peak().
+std::size_t peak_live_bytes();
+
+/// Restarts the high-water mark at the current live_bytes().
+void reset_peak();
 
 }  // namespace leime::testsupport
