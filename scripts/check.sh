@@ -9,9 +9,12 @@
 #      explicitly so the DESIGN.md §10, §13 and §11 properties show up by
 #      name even though they also ride inside sim_test and net_test.
 #   3. Policy: the differential/property suite proving the [policy] fast
-#      paths (memo cache, warm-started B&B, batched eq. 20) result-
-#      identical to the reference searches (DESIGN.md §12), run explicitly
-#      even though it also rides inside ctest.
+#      paths (memo cache, warm-started B&B, batched eq. 20) and the fleet
+#      solvers with their endpoint screen result-identical to the reference
+#      searches (DESIGN.md §12), and core_test's Lyapunov* suite, which
+#      holds the premises the screen stands on (eq. 19's convexity, its
+#      end slopes and its jump at 0+), run explicitly even though both ride
+#      inside ctest.
 #   4. INI: the scenario parser's contract cases and its differential test
 #      against the std::map parser it replaced (util_test's Ini* suites,
 #      over 100,000 generated texts and mutations of configs/*.ini), run
@@ -59,8 +62,9 @@ echo "== zero-alloc: EventQueue, attribution and fabric steady-state gates =="
 ./build/tests/net_test \
   --gtest_filter='Fabric.SteadyStateFlowsRunWithZeroAllocations'
 
-echo "== policy: differential equivalence suite =="
+echo "== policy: differential equivalence suite + eq. 19 screen premises =="
 ./build/tests/policy_test
+./build/tests/core_test --gtest_filter='Lyapunov*'
 
 echo "== ini: parser contract + differential test against the reference =="
 ./build/tests/util_test --gtest_filter='Ini*'

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -57,6 +58,9 @@ double edge_service_tasks(const DeviceSlotState& s, double x) {
   return edge_first_block_flops(s, x) * s.config.tau / s.partition->mu1;
 }
 
+// objective_shape restates eqs. 12-13 in closed form, slopes included, and
+// certified_endpoint's answers rest on it: change both cost functions and
+// objective_shape together (Lyapunov.EndpointSlopesMatchDifferenceQuotients).
 double device_slot_cost(const DeviceSlotState& s, double x) {
   const auto& p = *s.partition;
   const double a = (1.0 - x) * s.arrivals;  // A_i(t)
@@ -72,6 +76,7 @@ double device_slot_cost(const DeviceSlotState& s, double x) {
   return wait_backlog + std::max(process, a * per_task) + forward;
 }
 
+// Restated in closed form by objective_shape, as device_slot_cost is.
 double edge_slot_cost(const DeviceSlotState& s, double x) {
   const auto& p = *s.partition;
   const double d = x * s.arrivals;  // D_i(t)
@@ -186,6 +191,123 @@ double balance_offload_ratio(const DeviceSlotState& s) {
       hi = mid;
   }
   return 0.5 * (lo + hi);
+}
+
+// --------------------------------------------------------- endpoint screen
+//
+// With a = (1−x)M, d = xM, pt = μ1/F_d, u = d0/B + L, w = (1−σ1)(d1/B + L),
+// k = (1−σ1)μ2, b = F_d·τ/μ1, g = M(xμ1 + k)/F_e and c = F_e·τ·x/(xμ1 + k),
+// for x > 0 (DESIGN.md §12):
+//   T_d = pt·(a(Q+1) + ½·max(a(a−1), 0)) + w·a                  (eq. 12)
+//   T_e = d·u + (1+H)·g + ½·g·max(d−1, 0)                        (eq. 13)
+//   f   = V(T_d + T_e) + Q(a − b) + H(d − c)                     (eq. 19)
+
+ObjectiveShape objective_shape(const DeviceSlotState& s, double hi) {
+  const auto& p = *s.partition;
+  const double M = s.arrivals;
+  const double Q = s.queue_device;
+  const double H = s.queue_edge;
+  const double V = s.config.V;
+  const double tau = s.config.tau;
+  const double fe = s.edge_share_flops;
+  const double pt = p.mu1 / s.device_flops;
+  const double u = p.d0 / s.bandwidth + s.latency;
+  const double w = (1.0 - p.sigma1) * (p.d1 / s.bandwidth + s.latency);
+  const double k = (1.0 - p.sigma1) * p.mu2;
+  const double b = s.device_flops * tau / p.mu1;
+  const double dg = M * p.mu1 / fe;  // g'
+  const auto g = [&](double x) { return M * (x * p.mu1 + k) / fe; };
+  // f' at x, with each max() on its quadratic piece where the flags say,
+  // and the sum of its terms' magnitudes.
+  const auto slope = [&](double x, bool a_past_1, bool d_past_1) {
+    const double a = (1.0 - x) * M;
+    const double d = x * M;
+    const double z = x * p.mu1 + k;
+    const double dc = fe * tau * k / (z * z);  // c'
+    const double device = M * (pt * (Q + 1.0) + w) +  // −T_d'
+                          (a_past_1 ? 0.5 * pt * (2.0 * a - 1.0) * M : 0.0);
+    const double edge = M * u + (1.0 + H) * dg +  // T_e'
+                        (d_past_1 ? 0.5 * (dg * (d - 1.0) + g(x) * M) : 0.0);
+    return std::pair{V * (edge - device) - Q * M + H * M - H * dc,
+                     V * (edge + device) + Q * M + H * M + H * dc};
+  };
+  // The right slope at 0 takes the piece past x = 0 (d = 0 there), the
+  // left slope at hi the piece short of hi.
+  const auto [s0, terms0] = slope(0.0, M > 1.0, false);
+  const double a_hi = (1.0 - hi) * M;
+  const double d_hi = hi * M;
+  const auto [s1, terms1] = slope(hi, a_hi >= 1.0, d_hi > 1.0);
+  // T_d falls and T_e, c rise with x, so these bound every term on [0, hi].
+  const double device_0 =
+      pt * (M * (Q + 1.0) + 0.5 * std::max(M * (M - 1.0), 0.0)) + w * M;
+  const double edge_hi = d_hi * u + (1.0 + H) * g(hi) +
+                         0.5 * g(hi) * std::max(d_hi - 1.0, 0.0);
+  const double c_hi = fe * tau * hi / (hi * p.mu1 + k);
+  return {s0, s1, V * (1.0 + H) * g(0.0),
+          V * (device_0 + edge_hi) + Q * (M + b) + H * (M + c_hi),
+          terms0 + terms1};
+}
+
+namespace {
+
+/// certified_endpoint declines a state unless each input of eq. 19 is 0 or
+/// in [2^-200, 2^200], and so is half the distance from an end to the
+/// reference's nearest probe. Then no product the reference forms (at most
+/// five factors) leaves the normal range, so each of its roundings is
+/// relative, and eq. 9 cannot underflow to the 0 its LEIME_CHECK throws on.
+bool in_window(double v) { return v >= 0x1p-200 && v <= 0x1p200; }
+
+}  // namespace
+
+std::optional<double> certified_endpoint(const DeviceSlotState& s,
+                                         const Interval& iv) {
+  if (iv.lo != 0.0) return std::nullopt;
+  const auto& p = *s.partition;
+  // Every probe of the reference but 0 and hi lies at least this far from
+  // both: half a grid step when the golden section does not run, else half
+  // its last bracket, which is wider than kPhi·kTol ≈ 6.18e-10.
+  const double gap = std::min(iv.hi / (2 * kGrid), 2.5e-10);
+  for (const double v : {0.5 * gap, s.arrivals, 1.0 - p.sigma1, p.mu1,
+                         (1.0 - p.sigma1) * p.mu2, s.device_flops,
+                         s.edge_share_flops, s.bandwidth, s.config.tau})
+    if (!in_window(v)) return std::nullopt;
+  for (const double v : {s.queue_device, s.queue_edge, s.config.V, s.latency,
+                         p.d0, p.d1})
+    if (v != 0.0 && !in_window(v)) return std::nullopt;
+
+  const ObjectiveShape o = objective_shape(s, iv.hi);
+  // The grid's first and last points are exactly 0 and hi, so these are the
+  // reference's own bits.
+  const double f0 = drift_plus_penalty(s, iv.lo);
+  const double fhi = drift_plus_penalty(s, iv.hi);
+  if (!std::isfinite(o.slope_lo + o.slope_hi + o.jump + o.terms +
+                     o.slope_terms + f0 + fhi))
+    return std::nullopt;
+  // About 40 roundings of terms bounded by E put an evaluation within
+  // 5e-15·E of f; err leaves a factor of 200. thr bounds the slopes'
+  // rounding the same way, with a wider factor.
+  const double err = 1e-12 * o.terms;
+  const double thr = 1e-9 * o.slope_terms;
+  const double s0 = o.slope_lo;
+  const double s1 = o.slope_hi;
+  // f rises on (0, hi]: every probe past 0 is at least f(0) + J.
+  if (s0 > thr && o.jump > 4.0 * err) return iv.lo;
+  if (s1 < -thr) {
+    // f falls on (0, hi]: every probe past 0 is at least f(hi).
+    if (fhi - f0 > 2.0 * err) return iv.lo;
+    // Every probe short of hi is at least |s1|·gap above f(hi).
+    if (f0 > fhi && (-s1 - thr) * gap > 2.0 * err) return iv.hi;
+    return std::nullopt;
+  }
+  if (s0 < -thr && s1 > thr) {
+    // The interior minimum lies above where the tangents at 0+ and at hi
+    // meet.
+    const double x = (fhi - s1 * iv.hi - f0 - o.jump) / (s0 - s1);
+    if (x > 0.0 && x < iv.hi &&
+        o.jump + s0 * x > 4.0 * err + 2.0 * thr * iv.hi)
+      return iv.lo;
+  }
+  return std::nullopt;
 }
 
 // ------------------------------------------------------------ fleet forms
@@ -390,12 +512,13 @@ void bisect_lanes(const Objective* g, int vecs, Vec* out, Vec* failed) {
 }
 
 /// The fleet driver: validates and screens each state in order as the
-/// scalar form does, then solves the non-degenerate ones kLanes at a time.
-/// A short group pads its last Vec with its last device.
+/// scalar form does, answers the ones certified_endpoint certifies when
+/// `certify` is set, then solves the rest kLanes at a time. A short group
+/// pads its last Vec with its last device.
 using SolveLanes = void (*)(const Objective*, int, Vec*, Vec*);
 
 void solve_fleet(std::span<const DeviceSlotState> states,
-                 std::span<double> out, SolveLanes solve_lanes) {
+                 std::span<double> out, SolveLanes solve_lanes, bool certify) {
   if (out.size() != states.size())
     throw std::invalid_argument("fleet solver: out and states differ in size");
   const DeviceSlotState* src[kLanes];
@@ -433,6 +556,12 @@ void solve_fleet(std::span<const DeviceSlotState> states,
       out[i] = v.lo;
       continue;
     }
+    if (certify) {
+      if (const std::optional<double> x = certified_endpoint(s, v)) {
+        out[i] = *x;
+        continue;
+      }
+    }
     src[n] = &s;
     iv[n] = v;
     at[n] = i;
@@ -445,12 +574,12 @@ void solve_fleet(std::span<const DeviceSlotState> states,
 
 void minimize_drift_plus_penalty_fleet(std::span<const DeviceSlotState> states,
                                        std::span<double> out) {
-  solve_fleet(states, out, golden_lanes);
+  solve_fleet(states, out, golden_lanes, true);
 }
 
 void balance_offload_ratio_fleet(std::span<const DeviceSlotState> states,
                                  std::span<double> out) {
-  solve_fleet(states, out, bisect_lanes);
+  solve_fleet(states, out, bisect_lanes, false);
 }
 
 }  // namespace leime::core

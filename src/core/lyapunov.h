@@ -11,6 +11,7 @@
 // returns the scalar form's doubles bit for bit (DESIGN.md §12).
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "core/partition.h"
@@ -96,12 +97,35 @@ double minimize_drift_plus_penalty(const DeviceSlotState& s);
 /// Falls back to the interval endpoint when no crossing exists.
 double balance_offload_ratio(const DeviceSlotState& s);
 
+/// Eq. 19 on (0, hi] in closed form, for a state with σ1 < 1 whose
+/// feasible interval is [0, hi], hi > 0. There the objective is convex, and
+/// at x = 0+ it jumps up by the limit of eq. 13's terms (DESIGN.md §12).
+/// The slopes restate eqs. 12-13 as device_slot_cost and edge_slot_cost
+/// compute them.
+struct ObjectiveShape {
+  double slope_lo = 0.0;     ///< s0: the right slope at 0+
+  double slope_hi = 0.0;     ///< s1: the left slope at hi
+  double jump = 0.0;         ///< J: lim f(x) − f(0) as x → 0+
+  double terms = 0.0;        ///< E: bounds eq. 19's absolute terms on [0, hi]
+  double slope_terms = 0.0;  ///< the sum of s0's and s1's absolute terms
+};
+ObjectiveShape objective_shape(const DeviceSlotState& s, double hi);
+
+/// The fleet form's pre-pass: for a validated state and its
+/// feasible_offload_interval iv with iv.hi > iv.lo, returns iv.lo or iv.hi
+/// when a bound with rounding margins on objective_shape proves that
+/// minimize_drift_plus_penalty(s) returns exactly that value, and nothing
+/// otherwise (DESIGN.md §12). Never throws.
+std::optional<double> certified_endpoint(const DeviceSlotState& s,
+                                         const Interval& iv);
+
 /// Devices the fleet forms below solve in lockstep.
 inline constexpr int kFleetLanes = 8;
 
 /// Fleet forms: out[i] = minimize_drift_plus_penalty(states[i]) (resp.
-/// balance_offload_ratio) bit for bit. Devices are solved kFleetLanes at a
-/// time in lockstep, which overlaps their dependent refinement probes.
+/// balance_offload_ratio) bit for bit. The eq. 19 form answers each state
+/// certified_endpoint certifies; the rest are solved kFleetLanes at a time
+/// in lockstep, which overlaps their dependent refinement probes.
 /// Validation and the solver's internal checks throw the exception type
 /// the scalar loop over `states` would; `out` must be as long as `states`.
 void minimize_drift_plus_penalty_fleet(std::span<const DeviceSlotState> states,

@@ -9,16 +9,12 @@ namespace leime::policy {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
+// Odd multipliers: 2^64/φ, and MurmurHash3's finalizer's.
+constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kFinalMul = 0xff51afd7ed558ccdULL;
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+/// One field's 64-bit pattern, mixed in one step.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) { return (h ^ v) * kMul; }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -49,7 +45,7 @@ bool slot_state_bits_equal(const core::DeviceSlotState& a,
 }
 
 std::uint64_t slot_state_hash(const core::DeviceSlotState& s) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = 0;
   h = mix(h, reinterpret_cast<std::uintptr_t>(s.partition));
   h = mix(h, bits(s.device_flops));
   h = mix(h, bits(s.edge_share_flops));
@@ -62,7 +58,11 @@ std::uint64_t slot_state_hash(const core::DeviceSlotState& s) {
   h = mix(h, s.edge_available ? 1u : 0u);
   h = mix(h, bits(s.config.V));
   h = mix(h, bits(s.config.tau));
-  return h;
+  // A product's bit i depends only on its factors' bits 0..i, and the table
+  // masks the low bits; fold the high half down, mix again and fold, so
+  // that a field's sign and exponent reach the low bits too.
+  h = (h ^ (h >> 32)) * kFinalMul;
+  return h ^ (h >> 32);
 }
 
 BatchStats decide_fleet(const core::OffloadPolicy& policy,

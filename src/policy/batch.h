@@ -31,7 +31,8 @@ namespace leime::policy {
 bool slot_state_bits_equal(const core::DeviceSlotState& a,
                            const core::DeviceSlotState& b);
 
-/// FNV-1a over the state's field bit patterns; equal states hash equal.
+/// A multiplicative hash of the state's field bit patterns, one step per
+/// field; equal states hash equal.
 std::uint64_t slot_state_hash(const core::DeviceSlotState& s);
 
 struct BatchStats {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace leime::util {
 
@@ -40,6 +43,17 @@ std::string_view view(const char* b, const char* e) {
 /// number". The parser ends every value with a '\0', so strtod stops there.
 double to_double(std::string_view section, const IniEntry& entry) {
   const auto& [key, value] = entry;
+  // Fast path: std::from_chars and strtod both round decimal text
+  // correctly, so a whole-value parse to a finite double above DBL_MIN has
+  // strtod's bits. Everything else (a sign, hex, inf and nan, zeros,
+  // subnormals, ERANGE, trailing text, and text that rounds up to DBL_MIN,
+  // where glibc reports underflow) takes strtod's path for its outcome.
+  double fast = 0.0;
+  const char* const last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, fast);
+  if (ec == std::errc{} && ptr == last && std::isfinite(fast) &&
+      std::abs(fast) > std::numeric_limits<double>::min())
+    return fast;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(value.data(), &end);

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "core/partition.h"
 #include "models/zoo.h"
+#include "util/rng.h"
 
 namespace leime::core {
 namespace {
@@ -325,6 +329,122 @@ TEST(LyapunovValidation, UplinkBacklogMustBeFiniteAndNonNegative) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
   s.uplink_backlog_bytes = 0.0;
   EXPECT_NO_THROW(s.validate());
+}
+
+// ------------------------------------- the premises of the endpoint screen
+//
+// certified_endpoint (DESIGN.md §12) stands on three facts about eq. 19 on
+// (0, hi]: it is convex, objective_shape's slopes are its one-sided slopes
+// at the ends, and it jumps up by objective_shape's J at 0+. An edit to
+// eq. 12 or 13 that breaks one of them fails here.
+
+/// Fills `part` and returns a state over it whose feasible interval is
+/// [0, hi] with hi >= 1e-6, drawn over ranges that put eq. 12's kink
+/// (a = 1) and eq. 13's (d = 1) inside and outside the interval.
+DeviceSlotState generated_state(util::Rng& rng, MeDnnPartition& part) {
+  for (;;) {
+    part.mu1 = std::pow(10.0, rng.uniform(8.0, 10.5));
+    part.mu2 = std::pow(10.0, rng.uniform(8.0, 10.5));
+    part.d0 = std::pow(10.0, rng.uniform(3.0, 6.0));
+    part.d1 = std::pow(10.0, rng.uniform(3.0, 6.0));
+    part.sigma1 = rng.uniform(0.0, 0.95);
+    DeviceSlotState s;
+    s.partition = &part;
+    s.device_flops = std::pow(10.0, rng.uniform(9.0, 10.7));
+    s.edge_share_flops = std::pow(10.0, rng.uniform(9.0, 11.0));
+    s.bandwidth = std::pow(10.0, rng.uniform(5.0, 7.5));
+    s.latency = rng.uniform(0.0, 0.1);
+    s.queue_device = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 30.0);
+    s.queue_edge = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 30.0);
+    s.arrivals = rng.uniform(0.05, 8.0);
+    s.uplink_backlog_bytes = rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.0, 1e6);
+    s.config.V = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.1, 300.0);
+    s.config.tau = rng.uniform(0.5, 2.0);
+    const auto iv = feasible_offload_interval(s);
+    if (iv.lo == 0.0 && iv.hi >= 1e-6) return s;
+  }
+}
+
+TEST(Lyapunov, ObjectiveIsConvexOnTheOpenInterval) {
+  const util::Rng base(0xC0A7E5ull);
+  constexpr int kPoints = 257;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
+    MeDnnPartition part;
+    const DeviceSlotState s = generated_state(rng, part);
+    const double hi = feasible_offload_interval(s).hi;
+    const double terms = objective_shape(s, hi).terms;
+    double f[kPoints];
+    for (int i = 0; i < kPoints; ++i) {
+      f[i] = drift_plus_penalty(s, hi * (i + 1) / kPoints);
+      ASSERT_LE(std::abs(f[i]), terms * (1.0 + 1e-12)) << "trial " << trial;
+    }
+    for (int i = 1; i + 1 < kPoints; ++i)
+      ASSERT_GE(f[i - 1] - 2.0 * f[i] + f[i + 1], -1e-9 * terms)
+          << "trial " << trial << " point " << i;
+  }
+}
+
+TEST(Lyapunov, EndpointSlopesMatchDifferenceQuotients) {
+  const util::Rng base(0x5107E5ull);
+  int device_kink_at_0 = 0, device_kink_at_hi = 0, edge_kink_at_hi = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
+    MeDnnPartition part;
+    const DeviceSlotState s = generated_state(rng, part);
+    const double hi = feasible_offload_interval(s).hi;
+    const double M = s.arrivals;
+    const auto f = [&](double x) { return drift_plus_penalty(s, x); };
+    const ObjectiveShape o = objective_shape(s, hi);
+    // Steps well inside eq. 9's curvature scale, k/μ1, and inside hi; a
+    // state with a kink inside a step's reach is skipped.
+    const double k = (1.0 - part.sigma1) * part.mu2;
+    const double kinks[] = {1.0 - 1.0 / M, 1.0 / M};
+    const auto clear = [&](double from, double to) {
+      return std::none_of(std::begin(kinks), std::end(kinks),
+                          [&](double x) { return x >= from && x <= to; });
+    };
+    // Second-order one-sided quotients: f(0) is not f(0+), so the right
+    // slope at 0 uses only points past it.
+    const double h0 = 1e-4 * std::min(hi, k / part.mu1);
+    if (clear(0.0, 2.5 * h0)) {
+      const double q0 = (-4.0 * f(0.5 * h0) + 5.0 * f(h0) - f(2.0 * h0)) / h0;
+      EXPECT_NEAR(q0, o.slope_lo, 1e-6 * o.slope_terms + 1e-12 * o.terms / h0)
+          << "trial " << trial;
+      device_kink_at_0 += M > 1.0;
+    }
+    const double h1 = 1e-4 * hi;
+    if (clear(hi - 2.5 * h1, hi)) {
+      const double q1 =
+          (3.0 * f(hi) - 4.0 * f(hi - h1) + f(hi - 2.0 * h1)) / (2.0 * h1);
+      EXPECT_NEAR(q1, o.slope_hi, 1e-6 * o.slope_terms + 1e-12 * o.terms / h1)
+          << "trial " << trial;
+      device_kink_at_hi += (1.0 - hi) * M >= 1.0;
+      edge_kink_at_hi += hi * M > 1.0;
+    }
+  }
+  // Both quadratic pieces were on at an end, not only the linear ones.
+  EXPECT_GT(device_kink_at_0, 1000);
+  EXPECT_GT(device_kink_at_hi, 500);
+  EXPECT_GT(edge_kink_at_hi, 1000);
+}
+
+TEST(Lyapunov, JumpAtZeroIsTheEdgeLimit) {
+  const util::Rng base(0x7E5E5ull);
+  int jumps = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
+    MeDnnPartition part;
+    const DeviceSlotState s = generated_state(rng, part);
+    const ObjectiveShape o =
+        objective_shape(s, feasible_offload_interval(s).hi);
+    const double rise =
+        drift_plus_penalty(s, 1e-12) - drift_plus_penalty(s, 0.0);
+    EXPECT_NEAR(rise, o.jump, 2e-12 * std::abs(o.slope_lo) + 1e-13 * o.terms)
+        << "trial " << trial;
+    jumps += o.jump > 1e-6 * o.terms;
+  }
+  EXPECT_GT(jumps, 5000);  // the jump is no rounding artefact
 }
 
 }  // namespace

@@ -516,5 +516,77 @@ TEST(PolicyDiff, FleetSolversThrowWhereScalarThrows) {
   EXPECT_GT(seen[static_cast<int>(Outcome::kReturned)], 0);
 }
 
+// ---------------------------------- endpoint screen ≡ scalar at its flips
+
+/// What the eq. 19 fleet form's screen answers for a valid state.
+enum class Screen { kLo, kHi, kDeclined, kDegenerate };
+
+Screen screen_of(const core::DeviceSlotState& s) {
+  const auto iv = core::feasible_offload_interval(s);
+  if (iv.hi <= iv.lo) return Screen::kDegenerate;  // never screened
+  const auto x = core::certified_endpoint(s, iv);
+  if (!x) return Screen::kDeclined;
+  return *x == iv.lo ? Screen::kLo : Screen::kHi;
+}
+
+// The screen's margins matter where its answer flips. From generated states,
+// bisect one of Q, H, M, B, F_e or F_d to a flip, then check every state it
+// certifies within 1e-15 to 1e-5 relative of the flip against the scalar
+// reference, bit for bit.
+TEST(PolicyDiff, EndpointScreenMatchesScalarAtItsFlips) {
+  util::Rng profile_rng(13);
+  const auto profile = random_profile(16, profile_rng);
+  const auto parts =
+      solver_partitions(core::make_partition(profile, {4, 9, 16}));
+  using State = core::DeviceSlotState;
+  double State::* const fields[] = {
+      &State::queue_device, &State::queue_edge,       &State::arrivals,
+      &State::bandwidth,    &State::edge_share_flops, &State::device_flops};
+  const util::Rng base(0xF11B5ull);
+
+  std::size_t answers[4] = {0, 0, 0, 0};  // by Screen
+  const auto seen = [&](Screen a) { return answers[static_cast<int>(a)]; };
+  for (int trial = 0; seen(Screen::kLo) + seen(Screen::kHi) < 1'000'000;
+       ++trial) {
+    ASSERT_LT(trial, 1'000'000) << "too few certified states near flips";
+    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
+    State at = edge_case_state(parts, rng);
+    double State::* const field = fields[rng.uniform_int(0, 5)];
+    // Search between the drawn value and one up to 10^3 times off.
+    double lo = std::max(at.*field, 1e-3);
+    double hi = lo * std::pow(10.0, rng.uniform(-3.0, 3.0));
+    const auto answer_at = [&](double v) {
+      at.*field = v;
+      return screen_of(at);
+    };
+    const Screen lo_answer = answer_at(lo);
+    if (answer_at(hi) == lo_answer) continue;
+    for (int it = 0; it < 64; ++it) {
+      const double mid = std::sqrt(lo * hi);
+      if (mid == lo || mid == hi) break;
+      (answer_at(mid) == lo_answer ? lo : hi) = mid;
+    }
+    // The flip, and 40 log-spaced offsets from 1e-15 to 1e-5 on each side.
+    for (int j = -40; j <= 40; ++j) {
+      const double rel =
+          j == 0 ? 0.0 : std::pow(10.0, -15.0 + 10.0 * (std::abs(j) - 1) / 39);
+      at.*field = lo * (1.0 + (j < 0 ? -rel : rel));
+      const Screen answer = screen_of(at);
+      ++answers[static_cast<int>(answer)];
+      if (answer != Screen::kLo && answer != Screen::kHi) continue;
+      const auto iv = core::feasible_offload_interval(at);
+      const double scalar = core::minimize_drift_plus_penalty(at);
+      const double screened = answer == Screen::kLo ? iv.lo : iv.hi;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(screened),
+                std::bit_cast<std::uint64_t>(scalar))
+          << "trial " << trial << " offset " << j << ": screen " << screened
+          << " scalar " << scalar;
+    }
+  }
+  EXPECT_GE(seen(Screen::kLo), 10'000u);
+  EXPECT_GE(seen(Screen::kHi), 10'000u);
+  EXPECT_GE(seen(Screen::kDeclined), 10'000u);
+}
+
 }  // namespace
 }  // namespace leime::policy

@@ -347,5 +347,52 @@ TEST(IniDiff, MatchesTheReferenceParser) {
   }
 }
 
+/// A number text over the forms where std::from_chars and strtod part ways:
+/// signs, leading and trailing points, bare and signed exponents, mantissas
+/// of up to 25 digits, hex, inf and nan, zeros, subnormals, values that
+/// round to or just past DBL_MIN and DBL_MAX, overflow and trailing text.
+std::string number_text(util::Rng& rng) {
+  static constexpr const char* kEdges[] = {
+      "+1.5", ".5", "5.", "1e", "1e+5", "0x1p3", "0X1.8P-2", "inf", "+inf",
+      "nan", "-nan", "-0", "0e-400", "1e-310", "4.9e-324", "1e400",
+      "2.2250738585072011e-308", "2.2250738585072012e-308",
+      "2.2250738585072014e-308", "-2.2250738585072012e-308",
+      "1.7976931348623158e308", "1.7976931348623159e308",
+      "1234567890123456789012345", "0.1234567890123456789012345e-300"};
+  static constexpr const char* kSigns[] = {"", "", "-", "+"};
+  static constexpr const char* kExponents[] = {"e", "E", "e+", "e-", "E-"};
+  static constexpr const char* kTails[] = {"x", " 1", "e5", "."};
+  if (rng.bernoulli(0.1)) return pick(rng, kEdges);
+  std::string text = pick(rng, kSigns);
+  const auto digits = rng.uniform_int(1, 25);
+  const auto point = rng.uniform_int(-1, digits);  // -1: no point
+  for (std::int64_t i = 0; i < digits; ++i) {
+    if (i == point) text += '.';
+    text += static_cast<char>('0' + rng.uniform_int(0, 9));
+  }
+  if (point == digits) text += '.';
+  if (rng.bernoulli(0.7)) {
+    text += pick(rng, kExponents);
+    // Exponents near the double range's ends one time in two.
+    if (rng.bernoulli(0.97))
+      text += std::to_string(rng.bernoulli(0.5) ? rng.uniform_int(280, 330)
+                                                : rng.uniform_int(0, 400));
+  }
+  if (rng.bernoulli(0.03)) text += pick(rng, kTails);
+  return text;
+}
+
+// Number values alone, against the reference parser's strtod: every getter
+// outcome, error message and double bit for bit.
+TEST(IniDiff, NumberTextsMatchTheReferenceParser) {
+  util::Rng rng(20212);
+  Differ differ;
+  for (int i = 0; i < 100000; ++i) {
+    const std::string text = "[s]\nk = " + number_text(rng) + "\n";
+    ASSERT_EQ(differ.difference(text), "")
+        << "number text " << i << ": \"" << printable(text) << '"';
+  }
+}
+
 }  // namespace
 }  // namespace leime

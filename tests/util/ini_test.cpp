@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -252,6 +253,19 @@ TEST(Ini, OutOfRangeAndTrailingTextAreNotNumbers) {
             "ini: [s] key 'huge' is not a number: '1e999'");
   EXPECT_EQ(get_double_error(s, "tail"),
             "ini: [s] key 'tail' is not a number: '1.5abc'");
+}
+
+// Text whose exact value lies just below DBL_MIN rounds up to it, and glibc's
+// strtod reports that as an underflow; std::from_chars does not, so the fast
+// path must leave it to strtod.
+TEST(Ini, TextRoundingUpToDblMinIsNotANumber) {
+  const auto ini = IniFile::parse_string(
+      "[s]\nbelow = 2.2250738585072012e-308\nat = 2.2250738585072014e-308\n");
+  const auto& s = ini.only("s");
+  EXPECT_EQ(get_double_error(s, "below"),
+            "ini: [s] key 'below' is not a number: "
+            "'2.2250738585072012e-308'");
+  EXPECT_EQ(s.get_double("at"), std::numeric_limits<double>::min());
 }
 
 TEST(Ini, MissingKeyNamesSectionAndKey) {
